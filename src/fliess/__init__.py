@@ -12,7 +12,6 @@ from .algebra import (
     SeriesSpec,
     Word,
     check_growth,
-    coefficient,
     enumerate_words,
     enumerate_words_upto,
     left_shift,
@@ -48,7 +47,6 @@ from .harness import (
     run_experiment,
 )
 from .operators import (
-    EvaluationResult,
     chen_truncation,
     dt_fliess_trajectory,
     dt_fliess_truncated,
@@ -68,7 +66,6 @@ from .realization import (
     backward_step,
     ct_bilinear_simulate,
     forward_step,
-    implicit_discretize_step,
     one_step_identity_check,
     simulate_backward,
     simulate_forward,
@@ -85,7 +82,6 @@ from .signals import (
     constant_input,
     discretize,
     l1_norm,
-    sup_increment_norm,
 )
 
 __version__ = "0.1.0"

@@ -60,10 +60,11 @@ class Alphabet:
         return range(self.m + 1)
 
     def check_word(self, w: Word) -> Word:
+        w = tuple(w)
         for letter in w:
             if not 0 <= letter <= self.m:
                 raise DomainError(f"letter {letter} outside alphabet with m={self.m}")
-        return tuple(w)
+        return w
 
 
 def word_length_counts(w: Word, m: int) -> list[int]:
@@ -166,8 +167,10 @@ class GrowthClass:
     M: float
 
     def __post_init__(self):
-        if self.K <= 0 or self.M <= 0:
-            raise DomainError("growth constants K and M must be positive")
+        for name, value in (("K", self.K), ("M", self.M)):
+            if not (math.isfinite(value) and value > 0):
+                raise DomainError(
+                    f"growth constant {name} must be finite and positive, got {value!r}")
 
     def bound(self, length: int) -> float:
         base = self.K * self.M**length
@@ -200,7 +203,8 @@ class LinearRepresentation:
                 raise DomainError(f"all matrices must be {n}x{n}, got {a.shape}")
         gamma = np.array(gamma, dtype=float).reshape(n)
         lam = np.array(lam, dtype=float).reshape(n)
-        for arr in (*mats, gamma, lam):
+        mats = np.stack(mats)
+        for arr in (mats, gamma, lam):
             arr.flags.writeable = False
         self.matrices = mats
         self.gamma = gamma
@@ -210,6 +214,11 @@ class LinearRepresentation:
     @property
     def m(self) -> int:
         return len(self.matrices) - 1
+
+    def letter_sum(self, weights) -> np.ndarray:
+        """sum_i A_i w_i for each row w of letter weights (length m+1): one
+        n-by-n matrix for a single row, a stack of them for a 2-d array."""
+        return np.tensordot(weights, self.matrices, axes=1)
 
     def coefficient(self, w: Word) -> float:
         # row-vector propagation: lam . A_{w0} . A_{w1} ... A_{wk} . gamma
@@ -374,9 +383,15 @@ def left_shift(prefix: Word, s: SeriesSpec) -> SeriesSpec:
     )
 
 
-def coefficient(s: SeriesSpec, w: Word) -> float:
-    """Coefficient (c, w) of the word ``w`` in the series ``s``."""
-    return s.coefficient(w)
+def count_words_upto(q: int, max_len: int, cap: int = DEFAULT_WORD_CAP) -> int:
+    """Number of words of length 0..max_len over q letters; raises
+    CapExceeded when it exceeds ``cap``."""
+    total = (max_len + 1) if q == 1 else (q ** (max_len + 1) - 1) // (q - 1)
+    if total > cap:
+        raise CapExceeded(
+            f"{total} words of length <= {max_len} over {q} letters exceeds the cap of {cap}"
+        )
+    return total
 
 
 def enumerate_words(
@@ -408,13 +423,7 @@ def enumerate_words_upto(
         letters: Sequence[int] = list(alphabet_or_letters.letters())
     else:
         letters = sorted(alphabet_or_letters)
-    q = len(letters)
-    total = (max_len + 1) if q == 1 else (q ** (max_len + 1) - 1) // (q - 1)
-    if total > cap:
-        raise CapExceeded(
-            f"enumerating all words up to length {max_len} over {q} letters "
-            f"needs {total} words, exceeding the cap of {cap}"
-        )
+    count_words_upto(len(letters), max_len, cap)
     out: list[Word] = []
     for j in range(max_len + 1):
         out.extend(tuple(w) for w in itertools.product(letters, repeat=j))

@@ -21,7 +21,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -57,6 +57,7 @@ from .signals import (
     Channel,
     ConstantChannel,
     ContinuousInput,
+    DiscreteInput,
     PiecewiseConstantChannel,
     SampledChannel,
     SinusoidChannel,
@@ -196,6 +197,23 @@ def format_float(v) -> str:
 # config parsing
 # ---------------------------------------------------------------------------
 
+def _check_finite(doc, path: str = "") -> None:
+    """Reject NaN and infinities anywhere in a config document, naming the
+    field by its path (e.g. ``input.channels.0.level``)."""
+    if isinstance(doc, float) and not math.isfinite(doc):
+        raise DomainError(f"{path} must be a finite number, got {doc!r}")
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            _check_finite(value, f"{path}.{key}" if path else str(key))
+
+
+def _integer(doc: dict, key: str) -> int:
+    value = float(doc[key])
+    if not value.is_integer():
+        raise DomainError(f"{key} must be an integer, got {doc[key]!r}")
+    return int(value)
+
+
 def _parse_growth(doc: dict) -> GrowthClass:
     try:
         kind = Growth(doc["kind"])
@@ -271,8 +289,10 @@ def _channel_label(doc: dict) -> str:
 
 def parse_config(doc: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from a decoded JSON document.  Raises
-    DomainError on any missing or out-of-range field."""
+    DomainError on any missing, out-of-range, non-finite or (for L and J)
+    non-integral field."""
     try:
+        _check_finite(doc)
         series, analytic, sys_label = _parse_system(doc["system"])
         channels = [_parse_channel(ch) for ch in doc["input"]["channels"]]
         labels = ", ".join(_channel_label(ch) for ch in doc["input"]["channels"])
@@ -280,8 +300,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
         cfg = ExperimentConfig(
             series=series,
             input=u,
-            L=int(doc["L"]),
-            J=int(doc["J"]),
+            L=_integer(doc, "L"),
+            J=_integer(doc, "J"),
             bound_mode=doc.get("bound_mode", "statement"),
             increments=doc.get("increments", "exact"),
             include_realization=bool(doc.get("include_realization", False)),
@@ -316,7 +336,10 @@ def _annotate(exc: Exception, column: str):
 def compute_bounds(cfg: ExperimentConfig) -> BoundReport:
     """Bound columns for a config, with norms and letter counts taken over
     the series' effective alphabet."""
-    uhat = discretize(cfg.input, cfg.L, rule=cfg.increments)
+    return _bounds(cfg, discretize(cfg.input, cfg.L, rule=cfg.increments))[1]
+
+
+def _bounds(cfg: ExperimentConfig, uhat: DiscreteInput) -> tuple[BoundInputs, BoundReport]:
     m_eff, letters = effective_alphabet(cfg.series)
     g = cfg.series.growth
     b = BoundInputs(
@@ -333,38 +356,31 @@ def compute_bounds(cfg: ExperimentConfig) -> BoundReport:
     except Divergent as exc:
         raise _annotate(exc, "e_hat/e_tail columns")
     warnings = tuple(regime_check(cfg.series, cfg.input, uhat, cfg.J))
-    return BoundReport(report.e_hat, report.e_tail, report.s_hat, report.s,
-                       report.mode, warnings)
+    return b, replace(report, regime_warnings=warnings)
 
 
 def _reference_output(cfg: ExperimentConfig) -> tuple[float, str, list[str]]:
     """y(T) plus a note of which route produced it."""
-    warnings: list[str] = []
     if cfg.analytic_output is not None:
-        z = cfg.input.integral(1)
-        return cfg.analytic_output(z), "analytic", warnings
+        return cfg.analytic_output(cfg.input.integral(1)), "analytic", []
     if cfg.series.representation is not None:
         _, outputs = ct_bilinear_simulate(cfg.series.representation, cfg.input)
-        return float(outputs[-1]), "rk4", warnings
+        return float(outputs[-1]), "rk4", []
     if cfg.series.polynomial is not None:
         degree = max(cfg.series.polynomial.degree(), 0)
-        value = fliess_truncated(cfg.series, cfg.input, degree).value
-        return value, f"finite@{degree}", warnings
-    value = fliess_truncated(cfg.series, cfg.input, cfg.J).value
-    warnings.append(
-        f"y column: no exact route for a callback series; truncated at J={cfg.J}"
-    )
-    return value, f"truncated@{cfg.J}", warnings
+        return fliess_truncated(cfg.series, cfg.input, degree), f"finite@{degree}", []
+    warning = f"y column: no exact route for a callback series; truncated at J={cfg.J}"
+    return fliess_truncated(cfg.series, cfg.input, cfg.J), f"truncated@{cfg.J}", [warning]
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Evaluate one config into a full report row: exact reference output,
     truncated discrete approximation, and both bound columns."""
     uhat = discretize(cfg.input, cfg.L, rule=cfg.increments)
-    bounds_report = compute_bounds(cfg)
+    bound_inputs, bounds_report = _bounds(cfg, uhat)
     y, y_route, warnings = _reference_output(cfg)
     try:
-        y_hat = dt_fliess_truncated(cfg.series, uhat, cfg.J).value
+        y_hat = dt_fliess_truncated(cfg.series, uhat, cfg.J)
     except CapExceeded as exc:
         raise _annotate(exc, "y_hat column")
     realization_output = None
@@ -380,7 +396,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         L=cfg.L,
         delta=cfg.input.T / cfg.L,
         J=cfg.J,
-        norm_uhat=_norm_for_report(cfg, uhat),
+        norm_uhat=bound_inputs.norm_uhat,
         s=bounds_report.s,
         s_hat=bounds_report.s_hat,
         y=y,
@@ -392,11 +408,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         warnings=tuple(warnings) + bounds_report.regime_warnings,
         realization_output=realization_output,
     )
-
-
-def _norm_for_report(cfg: ExperimentConfig, uhat) -> float:
-    _, letters = effective_alphabet(cfg.series)
-    return uhat.sup_norm(letters)
 
 
 def report_csv(reports: Sequence[ExperimentReport]) -> str:
@@ -587,7 +598,7 @@ def _continuous_curve(cfg: ExperimentConfig, times: np.ndarray) -> np.ndarray:
     if cfg.series.polynomial is not None:
         order = max(cfg.series.polynomial.degree(), 0)
     return np.array([
-        fliess_truncated(cfg.series, cfg.input, order, t=float(t)).value if t > 0
+        fliess_truncated(cfg.series, cfg.input, order, t=float(t)) if t > 0
         else cfg.series.coefficient(())
         for t in times
     ])
@@ -606,22 +617,13 @@ def emit_trajectory(cfg: ExperimentConfig, resolution: int = 200) -> list[list[s
         realization = simulate_forward(StateAffineSystem(cfg.series.representation), uhat).outputs
 
     T, L = cfg.input.T, cfg.L
-    uniform = [k * T / (resolution - 1) for k in range(resolution)]
-    nodes = [n * T / L for n in range(L + 1)]
-    eps = 1e-12 * T
-    merged: list[tuple[float, Optional[int]]] = []
-    i = j = 0
-    while i < len(uniform) or j < len(nodes):
-        if j >= len(nodes):
-            merged.append((uniform[i], None)); i += 1
-        elif i >= len(uniform):
-            merged.append((nodes[j], j)); j += 1
-        elif abs(uniform[i] - nodes[j]) <= eps:
-            merged.append((nodes[j], j)); i += 1; j += 1
-        elif uniform[i] < nodes[j]:
-            merged.append((uniform[i], None)); i += 1
-        else:
-            merged.append((nodes[j], j)); j += 1
+    # the step times, plus each uniform sample not within 1e-12 T of its nearest step time
+    merged: list[tuple[float, Optional[int]]] = [(n * T / L, n) for n in range(L + 1)]
+    for k in range(resolution):
+        t = k * T / (resolution - 1)
+        if abs(t - merged[round(t * L / T)][0]) > 1e-12 * T:
+            merged.append((t, None))
+    merged.sort(key=lambda item: item[0])
 
     times = np.array([t for t, _ in merged])
     curve = _continuous_curve(cfg, times)

@@ -23,25 +23,32 @@ channels only), and iterated sums come either from the cumulative recursion
 above or from an explicit enumeration of non-increasing index assignments.
 Tests compare the routes against each other; production code may pick
 whichever fits.
+
+Truncated evaluations (fliess_truncated, dt_fliess_truncated) return plain
+floats.  dt_fliess_trajectory evaluates a linear representation through its
+state recursion without enumerating words, so ``cap`` applies to polynomial
+and callback series only.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .algebra import (
     DEFAULT_WORD_CAP,
+    Alphabet,
     CapExceeded,
     DomainError,
     Polynomial,
     SeriesSpec,
     Word,
+    count_words_upto,
     enumerate_words,
+    enumerate_words_upto,
 )
 from .signals import (
     CatenatedChannel,
@@ -52,23 +59,6 @@ from .signals import (
     PiecewiseConstantChannel,
     QuadratureFailure,
 )
-
-
-@dataclass(frozen=True)
-class EvaluationResult:
-    """Value of a truncated functional together with how it was computed."""
-
-    value: float
-    truncation_order: int
-    steps_used: Optional[int] = None
-
-
-def _check_word(eta: Sequence[int], m: int) -> Word:
-    eta = tuple(eta)
-    for letter in eta:
-        if not 0 <= letter <= m:
-            raise DomainError(f"letter {letter} outside alphabet with m={m}")
-    return eta
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +106,7 @@ def iterated_integral(
     refined by halving all panels until consecutive Romberg diagonal entries
     agree to ``tol``.  Raises QuadratureFailure if the budget runs out.
     """
-    eta = _check_word(eta, u.m)
+    eta = Alphabet(u.m).check_word(eta)
     if t is None:
         t = u.T
     if not 0.0 <= t <= u.T:
@@ -147,14 +137,10 @@ def iterated_integral(
     )
 
 
-def _require_piecewise_constant(ch: Channel) -> None:
-    if isinstance(ch, (ConstantChannel, PiecewiseConstantChannel)):
-        return
+def _piecewise_constant(ch: Channel) -> bool:
     if isinstance(ch, CatenatedChannel):
-        _require_piecewise_constant(ch.first)
-        _require_piecewise_constant(ch.second)
-        return
-    raise DomainError(f"{ch!r} is not piecewise constant")
+        return _piecewise_constant(ch.first) and _piecewise_constant(ch.second)
+    return isinstance(ch, (ConstantChannel, PiecewiseConstantChannel))
 
 
 def iterated_integral_pc(
@@ -169,13 +155,14 @@ def iterated_integral_pc(
     update by summing over the split of each suffix into a part absorbed by
     the new piece and a shorter suffix from the old boundary.
     """
-    eta = _check_word(eta, u.m)
+    eta = Alphabet(u.m).check_word(eta)
     if t is None:
         t = u.T
     if not 0.0 <= t <= u.T:
         raise DomainError(f"evaluation time {t} outside [0, {u.T}]")
     for i in range(1, u.m + 1):
-        _require_piecewise_constant(u.channel(i))
+        if not _piecewise_constant(u.channel(i)):
+            raise DomainError(f"{u.channel(i)!r} is not piecewise constant")
     p = len(eta)
     if p == 0:
         return 1.0
@@ -202,6 +189,14 @@ def iterated_integral_pc(
     return suffix[0]
 
 
+def _integrator(u: ContinuousInput, t: Optional[float], tol: float) -> Callable[[Word], float]:
+    """E_w[u](t) as a function of the word: exact for piecewise-constant
+    inputs, Romberg otherwise."""
+    if all(_piecewise_constant(u.channel(i)) for i in range(1, u.m + 1)):
+        return lambda w: iterated_integral_pc(w, u, t)
+    return lambda w: iterated_integral(w, u, t, tol=tol)
+
+
 def chen_truncation(
     u: ContinuousInput,
     J: int,
@@ -219,21 +214,8 @@ def chen_truncation(
     """
     if J < 0:
         raise DomainError(f"truncation order must be >= 0, got {J}")
-    q = u.m + 1
-    total = (J + 1) if q == 1 else (q ** (J + 1) - 1) // (q - 1)
-    if total > cap:
-        raise CapExceeded(f"{total} words of length <= {J} exceeds cap {cap}")
-    try:
-        for i in range(1, u.m + 1):
-            _require_piecewise_constant(u.channel(i))
-        evaluate = lambda w: iterated_integral_pc(w, u, t)
-    except DomainError:
-        evaluate = lambda w: iterated_integral(w, u, t, tol=tol)
-    terms: dict[Word, float] = {}
-    for j in range(J + 1):
-        for w in itertools.product(range(q), repeat=j):
-            terms[w] = evaluate(w)
-    return Polynomial(terms)
+    evaluate = _integrator(u, t, tol)
+    return Polynomial({w: evaluate(w) for w in enumerate_words_upto(range(u.m + 1), J, cap=cap)})
 
 
 def fliess_truncated(
@@ -243,31 +225,20 @@ def fliess_truncated(
     t: Optional[float] = None,
     tol: float = 1e-10,
     cap: int = DEFAULT_WORD_CAP,
-) -> EvaluationResult:
+) -> float:
     """Truncated continuous-time series functional
     sum_{|eta| <= J} (c, eta) E_eta[u](t)."""
     if J < 0:
         raise DomainError(f"truncation order must be >= 0, got {J}")
     if c.alphabet.m != u.m:
         raise DomainError(f"series has m={c.alphabet.m} but input has m={u.m}")
-    letters = c.evaluation_letters()
-    q = len(letters)
-    total_words = (J + 1) if q <= 1 else (q ** (J + 1) - 1) // (q - 1)
-    if total_words > cap:
-        raise CapExceeded(f"{total_words} words of length <= {J} exceeds cap {cap}")
-    try:
-        for i in range(1, u.m + 1):
-            _require_piecewise_constant(u.channel(i))
-        evaluate = lambda w: iterated_integral_pc(w, u, t)
-    except DomainError:
-        evaluate = lambda w: iterated_integral(w, u, t, tol=tol)
+    evaluate = _integrator(u, t, tol)
     total = 0.0
-    for j in range(J + 1):
-        for w in itertools.product(letters, repeat=j):
-            coeff = c.coefficient(w)
-            if coeff != 0.0:
-                total += coeff * evaluate(w)
-    return EvaluationResult(total, J)
+    for w in enumerate_words_upto(c.evaluation_letters(), J, cap=cap):
+        coeff = c.coefficient(w)
+        if coeff != 0.0:
+            total += coeff * evaluate(w)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +254,7 @@ def iterated_sum_trajectory(
     eta: Sequence[int], uhat: DiscreteInput, N: Optional[int] = None
 ) -> np.ndarray:
     """S_eta[uhat](k) for k = 0..N as one array."""
-    eta = _check_word(eta, uhat.m)
+    eta = Alphabet(uhat.m).check_word(eta)
     if N is None:
         N = uhat.L
     if not 0 <= N <= uhat.L:
@@ -304,7 +275,7 @@ def iterated_sum_partition(
     """S_eta[uhat](N) by direct enumeration: one product per non-increasing
     assignment N >= k_1 >= ... >= k_p >= 1 of steps to the letters of eta
     (outermost letter gets k_1).  There are binomial(N-1+p, p) assignments."""
-    eta = _check_word(eta, uhat.m)
+    eta = Alphabet(uhat.m).check_word(eta)
     if N is None:
         N = uhat.L
     if not 0 <= N <= uhat.L:
@@ -327,19 +298,18 @@ def iterated_sum_partition(
     return total
 
 
-def _dt_layers(c: SeriesSpec, J: int, cap: int) -> tuple[tuple[int, ...], list[np.ndarray]]:
-    """Evaluation letters and per-length coefficient arrays, word-major in
-    lexicographic order (so layer j has length q**j)."""
+#: floats held by the widest array of one time block of the graded recursion
+_BLOCK_FLOATS = 1 << 16
+
+
+def _dt_layers(c: SeriesSpec, J: int, cap: int) -> list[np.ndarray]:
+    """Per-length coefficient arrays over the series' evaluation letters,
+    word-major in lexicographic order (so layer j has length q**j)."""
     letters = c.evaluation_letters()
-    q = len(letters)
-    total = (J + 1) if q <= 1 else (q ** (J + 1) - 1) // (q - 1)
-    if total > cap:
-        raise CapExceeded(f"{total} words of length <= {J} exceeds cap {cap}")
-    layers = []
-    for j in range(J + 1):
-        words = enumerate_words(letters, j, cap=cap)
-        layers.append(np.array([c.coefficient(w) for w in words], dtype=float))
-    return letters, layers
+    count_words_upto(len(letters), J, cap)
+    return [np.array([c.coefficient(w) for w in enumerate_words(letters, j, cap=cap)],
+                     dtype=float)
+            for j in range(J + 1)]
 
 
 def dt_fliess_trajectory(
@@ -348,26 +318,51 @@ def dt_fliess_trajectory(
     """Truncated discrete-time series functional at every step:
     entry N is sum_{|eta| <= J} (c, eta) S_eta[uhat](N) for N = 0..L.
 
-    One pass over the steps updates a flat value array per word length
-    (shorter words first, since S_w(N) needs its tail suffix already advanced
-    to step N); words range only over the series' evaluation letters.
+    One graded recursion serves every series source: layer j advances by
+    V_j(N) = V_j(N-1) + act(uhat(N), V_{j-1}(N)) and the output is
+    sum_j w_j . V_j(N).  Steps go in blocks, each layer one cumulative sum
+    over a block, sized so the widest array holds about _BLOCK_FLOATS floats.
+
+    * Polynomial and callback series: V_j holds S_w for the q**j words of
+      length j over the evaluation letters, V_0 = 1, act is uhat_letters (x) V
+      and w_j are the word coefficients.  Only these enumerate words, so
+      ``cap`` bounds only them.
+    * Representations: V_j = sum_{|w|=j} A_w gamma S_w, V_0 = gamma, act is
+      (sum_i A_i uhat_i) V over the evaluation letters, and w_j = lam.
     """
     if J < 0:
         raise DomainError(f"truncation order must be >= 0, got {J}")
     if c.alphabet.m != uhat.m:
         raise DomainError(f"series has m={c.alphabet.m} but input has m={uhat.m}")
-    letters, coeff_layers = _dt_layers(c, J, cap)
-    q = len(letters)
-    sums = [np.zeros(q**j) for j in range(J + 1)]
-    sums[0] = np.ones(1)
-    usel = uhat.values[:, list(letters)]
+    letters = list(c.evaluation_letters())
+    rep = c.representation
+    if rep is None:
+        start, weights, width = np.ones(1), _dt_layers(c, J, cap), len(letters) ** J
+    else:
+        mask = np.zeros(uhat.m + 1)
+        mask[letters] = 1.0
+        start, weights, width = rep.gamma, [rep.lam] * (J + 1), rep.dim**2
+    block = max(1, _BLOCK_FLOATS // max(width, 1))
+    carry = [np.zeros_like(w) for w in weights]
     out = np.empty(uhat.L + 1)
-    out[0] = float(coeff_layers[0][0]) if coeff_layers else 0.0
-    for n in range(uhat.L):
-        row = usel[n]
+    out[0] = weights[0] @ start
+    for n0 in range(0, uhat.L, block):
+        rows = uhat.values[n0:n0 + block]
+        if rep is None:
+            sel = rows[:, letters]
+            act = lambda v: (sel[:, :, None] * v[:, None, :]).reshape(len(rows), -1)
+        else:
+            B = rep.letter_sum(rows * mask)
+            act = lambda v: np.einsum("kab,kb->ka", B, v)
+        v = np.broadcast_to(start, (len(rows), start.size))
+        dots = [np.full(len(rows), out[0])]
         for j in range(1, J + 1):
-            sums[j] = sums[j] + np.kron(row, sums[j - 1])
-        out[n + 1] = math.fsum(float(cl @ sj) for cl, sj in zip(coeff_layers, sums))
+            steps = act(v)
+            steps[0] += carry[j]
+            v = np.cumsum(steps, axis=0)
+            carry[j] = v[-1]
+            dots.append(v @ weights[j])
+        out[n0 + 1:n0 + 1 + len(rows)] = [math.fsum(d) for d in np.column_stack(dots).tolist()]
     return out
 
 
@@ -377,12 +372,8 @@ def dt_fliess_truncated(
     J: int,
     N: Optional[int] = None,
     cap: int = DEFAULT_WORD_CAP,
-) -> EvaluationResult:
+) -> float:
     """Truncated discrete-time series functional
     sum_{|eta| <= J} (c, eta) S_eta[uhat](N)."""
-    if N is None:
-        N = uhat.L
-    if not 0 <= N <= uhat.L:
-        raise DomainError(f"step count {N} outside 0..{uhat.L}")
-    traj = dt_fliess_trajectory(c, uhat.prefix(N), J, cap=cap)
-    return EvaluationResult(float(traj[N]), J, steps_used=N)
+    N = uhat.L if N is None else N
+    return float(dt_fliess_trajectory(c, uhat.prefix(N), J, cap=cap)[N])

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import DomainError, LinearRepresentation, SeriesSpec, left_shift
-from .operators import dt_fliess_truncated
+from .operators import dt_fliess_trajectory, dt_fliess_truncated
 from .signals import ContinuousInput, DiscreteInput
 
 
@@ -86,26 +86,18 @@ class Trajectory:
         return self.outputs.size
 
 
-def _transition(rep: LinearRepresentation, u_next: np.ndarray) -> np.ndarray:
-    """B = sum_j A_j uhat_j for one step's increment vector."""
-    u_next = np.asarray(u_next, dtype=float).reshape(rep.m + 1)
-    B = np.zeros((rep.dim, rep.dim))
-    for A, uj in zip(rep.matrices, u_next):
-        if uj != 0.0:
-            B += A * uj
-    return B
-
-
 def forward_step(sys: StateAffineSystem, z: np.ndarray, u_next: np.ndarray) -> np.ndarray:
     """One resolvent step: solve (I - sum_j A_j uhat_j) z' = z.
 
-    The system is solved, never inverted.  Under ``strict_norm`` the induced
-    infinity norm of the increment matrix must stay below the threshold
-    (which guarantees solvability); under ``solve_with_residual`` any solve
-    whose residual stays below 1e-10 * ||z|| is accepted.
+    This is the implicit (backward-Euler-like) discretization of the
+    bilinear system, z' = z + sum_j A_j uhat_j z'.  The system is solved,
+    never inverted.  Under ``strict_norm`` the induced infinity norm of the
+    increment matrix must stay below the threshold (which guarantees
+    solvability); under ``solve_with_residual`` any solve whose residual
+    stays below 1e-10 * ||z|| is accepted.
     """
     z = np.asarray(z, dtype=float).reshape(sys.dim)
-    B = _transition(sys.rep, u_next)
+    B = sys.rep.letter_sum(u_next)
     if sys.invertibility_policy == "strict_norm":
         norm = float(np.max(np.sum(np.abs(B), axis=1))) if sys.dim else 0.0
         if norm >= sys.norm_threshold:
@@ -132,8 +124,18 @@ def backward_step(sys: StateAffineSystem, z_next: np.ndarray, u_next: np.ndarray
     """Inverse of forward_step, needing no solve:
     z(N) = (I - sum_j A_j uhat_j(N+1)) z(N+1)."""
     z_next = np.asarray(z_next, dtype=float).reshape(sys.dim)
-    B = _transition(sys.rep, u_next)
+    B = sys.rep.letter_sum(u_next)
     return z_next - B @ z_next
+
+
+def _step_count(sys: StateAffineSystem, uhat: DiscreteInput, N_f: Optional[int]) -> int:
+    if uhat.m != sys.m:
+        raise DomainError(f"system has m={sys.m} but input has m={uhat.m}")
+    if N_f is None:
+        N_f = uhat.L
+    if not 0 <= N_f <= uhat.L:
+        raise DomainError(f"step count {N_f} outside 0..{uhat.L}")
+    return N_f
 
 
 def simulate_forward(sys: StateAffineSystem, uhat: DiscreteInput, N_f: Optional[int] = None) -> Trajectory:
@@ -143,12 +145,7 @@ def simulate_forward(sys: StateAffineSystem, uhat: DiscreteInput, N_f: Optional[
     the represented series at every step.  Step failures propagate with the
     failing step index attached.
     """
-    if uhat.m != sys.m:
-        raise DomainError(f"system has m={sys.m} but input has m={uhat.m}")
-    if N_f is None:
-        N_f = uhat.L
-    if not 0 <= N_f <= uhat.L:
-        raise DomainError(f"step count {N_f} outside 0..{uhat.L}")
+    N_f = _step_count(sys, uhat, N_f)
     states = np.empty((N_f + 1, sys.dim))
     states[0] = sys.rep.gamma
     for n in range(N_f):
@@ -158,8 +155,7 @@ def simulate_forward(sys: StateAffineSystem, uhat: DiscreteInput, N_f: Optional[
             exc.step = n + 1
             exc.args = (f"step {n + 1}: {exc.args[0]}",)
             raise
-    outputs = states @ sys.rep.lam
-    return Trajectory(states, outputs)
+    return Trajectory(states, states @ sys.rep.lam)
 
 
 def simulate_backward(
@@ -176,12 +172,7 @@ def simulate_backward(
     trajectory exactly, which is the time-reversal consistency this map
     exists to provide.
     """
-    if uhat.m != sys.m:
-        raise DomainError(f"system has m={sys.m} but input has m={uhat.m}")
-    if N_f is None:
-        N_f = uhat.L
-    if not 0 <= N_f <= uhat.L:
-        raise DomainError(f"step count {N_f} outside 0..{uhat.L}")
+    N_f = _step_count(sys, uhat, N_f)
     states = np.empty((N_f + 1, sys.dim))
     states[N_f] = (
         sys.rep.gamma if terminal_state is None
@@ -189,8 +180,7 @@ def simulate_backward(
     )
     for n in range(N_f - 1, -1, -1):
         states[n] = backward_step(sys, states[n + 1], uhat.values[n])
-    outputs = states @ sys.rep.lam
-    return Trajectory(states, outputs)
+    return Trajectory(states, states @ sys.rep.lam)
 
 
 def ct_bilinear_simulate(
@@ -216,45 +206,31 @@ def ct_bilinear_simulate(
     if steps < 1:
         raise DomainError(f"need steps >= 1, got {steps}")
 
-    def field_matrix(t: float) -> np.ndarray:
-        B = np.array(rep.matrices[0], dtype=float)
-        for j in range(1, rep.m + 1):
-            B += rep.matrices[j] * float(u.value(j, t))
-        return B
-
     h = T / steps
     times = np.linspace(0.0, T, steps + 1)
+    # letter weights (1, u_1, ..., u_m) at the step nodes (even rows) and the
+    # midpoints (odd rows), one vectorized call per channel
+    stage_times = np.linspace(0.0, T, 2 * steps + 1)
+    weights = np.column_stack([np.ones_like(stage_times)]
+                              + [u.value(j, stage_times) for j in range(1, rep.m + 1)])
     z = np.array(rep.gamma, dtype=float)
     outputs = np.empty(steps + 1)
     outputs[0] = float(rep.lam @ z)
+    field_next = rep.letter_sum(weights[0])
     # overflow is detected and reported, not propagated as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
-            t = times[k]
-            k1 = field_matrix(t) @ z
-            k2 = field_matrix(t + 0.5 * h) @ (z + 0.5 * h * k1)
-            k3 = field_matrix(t + 0.5 * h) @ (z + 0.5 * h * k2)
-            k4 = field_matrix(t + h) @ (z + h * k3)
+            field, field_mid = field_next, rep.letter_sum(weights[2 * k + 1])
+            field_next = rep.letter_sum(weights[2 * k + 2])
+            k1 = field @ z
+            k2 = field_mid @ (z + 0.5 * h * k1)
+            k3 = field_mid @ (z + 0.5 * h * k2)
+            k4 = field_next @ (z + h * k3)
             z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.all(np.isfinite(z)):
                 raise NonFinite(f"state non-finite at t = {times[k + 1]:g}")
             outputs[k + 1] = float(rep.lam @ z)
     return times, outputs
-
-
-def implicit_discretize_step(
-    rep: LinearRepresentation,
-    z_prev: np.ndarray,
-    u_next: np.ndarray,
-    invertibility_policy: str = "strict_norm",
-    norm_threshold: float = 1.0 - 1e-9,
-) -> np.ndarray:
-    """The implicit (backward-Euler-like) discretization of the bilinear
-    system: z(N+1) solves z(N+1) = z(N) + sum_j A_j uhat_j(N+1) z(N+1),
-    which is exactly the forward resolvent step.  Named separately so the
-    continuous-to-discrete bridge stays visible and testable."""
-    sys = StateAffineSystem(rep, invertibility_policy, norm_threshold)
-    return forward_step(sys, z_prev, u_next)
 
 
 def one_step_identity_check(
@@ -272,12 +248,12 @@ def one_step_identity_check(
         raise DomainError(f"need 0 <= N < L = {uhat.L} to take one step, got {N}")
     if J < 0:
         raise DomainError(f"truncation order must be >= 0, got {J}")
-    lhs = dt_fliess_truncated(c, uhat, J, N=N + 1).value
-    rhs = dt_fliess_truncated(c, uhat, J, N=N).value
+    traj = dt_fliess_trajectory(c, uhat.prefix(N + 1), J)
+    lhs, rhs = traj[N + 1], traj[N]
     if J >= 1:
         for j in range(uhat.m + 1):
             uj = float(uhat.values[N, j])
             if uj != 0.0:
                 shifted = left_shift((j,), c)
-                rhs += uj * dt_fliess_truncated(shifted, uhat, J - 1, N=N + 1).value
+                rhs += uj * dt_fliess_truncated(shifted, uhat, J - 1, N=N + 1)
     return abs(lhs - rhs)

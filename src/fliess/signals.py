@@ -382,8 +382,3 @@ def l1_norm(u: ContinuousInput) -> float:
     if u.m == 0:
         return 0.0
     return max(u.channel(i).abs_increment(0.0, u.T) for i in range(1, u.m + 1))
-
-
-def sup_increment_norm(uhat: DiscreteInput, channels: Optional[Iterable[int]] = None) -> float:
-    """max |uhat_i(N)| over steps and the selected channels (default all)."""
-    return uhat.sup_norm(channels)

@@ -17,7 +17,6 @@ from fliess.algebra import (
     Polynomial,
     SeriesSpec,
     check_growth,
-    coefficient,
     enumerate_words,
     enumerate_words_upto,
     left_shift,
@@ -44,6 +43,10 @@ def test_alphabet_rejects_bad_letters():
         a.check_word((-1,))
     with pytest.raises(DomainError):
         Alphabet(-1)
+    # a word given as a one-shot iterable is read once, not as the empty word
+    assert a.check_word(x for x in (1, 2)) == (1, 2)
+    s = SeriesSpec(a, polynomial=Polynomial({(1, 2): 3.0}))
+    assert s.coefficient(x for x in (1, 2)) == 3.0
 
 
 def test_enumerate_words_counts_and_order():
@@ -193,13 +196,13 @@ def test_coefficient_from_representation_is_matrix_product():
         mat = np.eye(2)
         for letter in w:
             mat = mat @ (A0 if letter == 0 else A1)
-        assert coefficient(s, w) == pytest.approx(lam @ mat @ gamma)
+        assert s.coefficient(w) == pytest.approx(lam @ mat @ gamma)
 
 
 def test_coefficient_checks_letters():
     s = SeriesSpec(Alphabet(1), polynomial=Polynomial.one())
     with pytest.raises(DomainError):
-        coefficient(s, (2,))
+        s.coefficient((2,))
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +212,9 @@ def test_coefficient_checks_letters():
 def test_left_shift_polynomial():
     c = SeriesSpec(Alphabet(1), polynomial=Polynomial({(0, 1): 2.0, (1,): 5.0}))
     shifted = left_shift((0,), c)
-    assert coefficient(shifted, (1,)) == 2.0
-    assert coefficient(shifted, ()) == 0.0
-    assert coefficient(left_shift((1,), c), ()) == 5.0
+    assert shifted.coefficient((1,)) == 2.0
+    assert shifted.coefficient(()) == 0.0
+    assert left_shift((1,), c).coefficient(()) == 5.0
 
 
 @pytest.mark.parametrize("source", ["polynomial", "callback", "representation"])
@@ -232,8 +235,8 @@ def test_left_shift_coefficient_identity(source, rng):
     for prefix in enumerate_words_upto(Alphabet(1), 2):
         shifted = left_shift(prefix, c)
         for eta in enumerate_words_upto(Alphabet(1), 3):
-            assert coefficient(shifted, eta) == pytest.approx(
-                coefficient(c, prefix + eta), abs=1e-12
+            assert shifted.coefficient(eta) == pytest.approx(
+                c.coefficient(prefix + eta), abs=1e-12
             )
 
 
@@ -242,7 +245,7 @@ def test_left_shift_composes():
     via_word = left_shift((0, 1), c)
     via_steps = left_shift((1,), left_shift((0,), c))
     for eta in enumerate_words_upto(Alphabet(1), 3):
-        assert coefficient(via_word, eta) == coefficient(via_steps, eta)
+        assert via_word.coefficient(eta) == via_steps.coefficient(eta)
 
 
 def test_left_shift_drops_growth_metadata():
@@ -273,6 +276,12 @@ def test_check_growth_reports_violations():
     assert abs(v.magnitude) > v.bound
     assert v.word == (0,)
     assert check_growth(c, GrowthClass(Growth.GC, 1.0, 3.0), max_len=6) == []
+
+
+@pytest.mark.parametrize("K, M", [(math.nan, 1.0), (1.0, math.inf), (0.0, 1.0), (1.0, -2.0)])
+def test_growth_class_rejects_nonpositive_and_nonfinite_constants(K, M):
+    with pytest.raises(DomainError, match="K" if K != 1.0 else "M"):
+        GrowthClass(Growth.GC, K, M)
 
 
 def test_growth_bound_values():

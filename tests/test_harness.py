@@ -36,7 +36,6 @@ from fliess.signals import (
     ContinuousInput,
     constant_input,
     discretize,
-    sup_increment_norm,
 )
 
 
@@ -87,7 +86,7 @@ def test_run_experiment_report_invariants():
     assert r.delta * r.L == pytest.approx(r.T)
     # scaling columns recomputed independently (effective m = 0 here)
     uhat = discretize(cfg.input, cfg.L)
-    assert r.norm_uhat == pytest.approx(sup_increment_norm(uhat, [1]))
+    assert r.norm_uhat == pytest.approx(uhat.sup_norm([1]))
     assert r.s_hat == pytest.approx(1.0 * 1 * cfg.L * r.norm_uhat)
     assert r.s == pytest.approx(max(0.5, cfg.T))
     assert r.y == pytest.approx(2.0)
@@ -385,6 +384,38 @@ def test_cli_config_errors_exit_2(tmp_path, doc_mutation, capsys):
     path = write_doc(tmp_path, doc)
     assert cli.main(["run", path]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc_mutation, field",
+    [
+        ({"L": 10.7}, "L"),
+        ({"J": 3.9}, "J"),
+        ({"T": math.inf}, "T"),
+        ({"T": math.nan}, "T"),
+        ({"input": {"channels": [{"kind": "constant", "level": math.nan}]}}, "channels.0.level"),
+        ({"input": {"channels": [{"kind": "sinusoid", "omega": math.inf}]}}, "channels.0.omega"),
+        ({"input": {"channels": [{"kind": "piecewise_constant", "breakpoints": [0.2],
+                                  "values": [1.0, math.nan]}]}}, "channels.0.values.1"),
+        ({"input": {"channels": [{"kind": "sampled", "times": [0.0, math.inf],
+                                  "values": [0.0, 1.0]}]}}, "channels.0.times.1"),
+        ({"input": {"channels": [{"kind": "piecewise_constant", "breakpoints": [math.nan],
+                                  "values": [1.0, -1.0]}]}}, "channels.0.breakpoints.0"),
+        ({"system": {"polynomial": {"m": 1, "terms": [{"word": [1], "coeff": 1.0}],
+                                    "growth": {"kind": "GC", "K": math.nan}}}}, "growth.K"),
+        ({"system": {"polynomial": {"m": 1, "terms": [{"word": [1], "coeff": math.inf}],
+                                    "growth": {"kind": "GC"}}}}, "terms.0.coeff"),
+    ],
+)
+def test_cli_rejects_bad_numbers_exit_2(tmp_path, doc_mutation, field, capsys):
+    # json writes NaN and Infinity literals, which the config loader reads back
+    doc = json.loads(json.dumps(BASE_DOC))
+    doc.update(doc_mutation)
+    path = write_doc(tmp_path, doc)
+    assert cli.main(["run", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{field} must be" in captured.err
 
 
 def test_cli_missing_and_malformed_files(tmp_path, capsys):

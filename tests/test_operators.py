@@ -2,6 +2,7 @@
 built on them."""
 
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -11,12 +12,14 @@ from fliess.algebra import (
     Alphabet,
     CapExceeded,
     DomainError,
+    LinearRepresentation,
     Polynomial,
     SeriesSpec,
     enumerate_words_upto,
     shuffle,
 )
 from fliess.operators import (
+    _BLOCK_FLOATS,
     chen_truncation,
     dt_fliess_trajectory,
     dt_fliess_truncated,
@@ -213,27 +216,73 @@ def test_sum_trajectory_consistent():
 # discrete-time series evaluation
 # ---------------------------------------------------------------------------
 
-def test_dt_fliess_matches_word_sum(rng):
+def _word_sum_cases(rng):
     for _ in range(4):
         c = random_polynomial_series(rng, m=2, max_len=3, n_terms=5)
-        uhat = discretize(random_pc_input(rng, m=2, T=1.0), 6)
-        J = 3
+        yield c, discretize(random_pc_input(rng, m=2, T=1.0), 6), 3
+    # a callback over three letters at J = 8: the widest layer holds 3**8
+    # words, so the recursion runs in time blocks shorter than L
+    c = SeriesSpec(
+        Alphabet(2),
+        callback=lambda w: math.sin(1.0 + sum((k + 1) * (l + 1) for k, l in enumerate(w))),
+    )
+    uhat = discretize(random_pc_input(rng, m=2, T=1.0), 30)
+    assert _BLOCK_FLOATS // 3**8 < uhat.L
+    yield c, uhat, 8
+
+
+def test_dt_fliess_matches_word_sum(rng):
+    for c, uhat, J in _word_sum_cases(rng):
         traj = dt_fliess_trajectory(c, uhat, J)
-        for N in (0, 3, 6):
-            direct = sum(
-                c.coefficient(w) * iterated_sum(w, uhat, N)
-                for w in enumerate_words_upto(Alphabet(2), J)
-            )
+        sums = {w: iterated_sum_trajectory(w, uhat) for w in enumerate_words_upto(Alphabet(2), J)}
+        for N in (0, uhat.L // 2, uhat.L):
+            direct = sum(c.coefficient(w) * s[N] for w, s in sums.items())
             assert traj[N] == pytest.approx(direct, abs=1e-12)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_dt_fliess_representation_matches_word_route(m, rng):
+    """The matrix action on a representation against the same series read
+    word by word through a callback, with and without declared support."""
+    for trial in range(6):
+        n = int(rng.integers(1, 6))
+        J = int(rng.integers(0, 7))
+        mats = [rng.uniform(-1, 1, size=(n, n)) for _ in range(m + 1)]
+        rep = LinearRepresentation(mats, rng.uniform(-1, 1, n), rng.uniform(-1, 1, n))
+        support = None
+        if trial % 2:
+            size = int(rng.integers(1, m + 2))
+            support = {int(x) for x in rng.choice(m + 1, size=size, replace=False)}
+        uhat = discretize(random_pc_input(rng, m=m, T=1.0), 12)
+        by_matrix = dt_fliess_trajectory(
+            SeriesSpec(Alphabet(m), representation=rep, support_letters=support), uhat, J)
+        by_words = dt_fliess_trajectory(
+            SeriesSpec(Alphabet(m), callback=rep.coefficient, support_letters=support), uhat, J)
+        scale = max(1.0, float(np.max(np.abs(by_words))))
+        assert np.max(np.abs(by_matrix - by_words)) <= 1e-12 * scale
+
+
+def test_dt_fliess_representation_memory_stays_flat(rng):
+    n, L = 8, 10**5
+    mats = [rng.uniform(-1, 1, size=(n, n)) / n for _ in range(2)]
+    c = SeriesSpec(Alphabet(1), representation=LinearRepresentation(mats, np.ones(n), np.ones(n)))
+    uhat = discretize(constant_input(0.5, 1.0), L)
+    tracemalloc.start()
+    try:
+        traj = dt_fliess_trajectory(c, uhat, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.shape == (L + 1,)
+    assert peak < 16 * 2**20
 
 
 def test_dt_fliess_truncated_result_fields():
     c = SeriesSpec(Alphabet(1), polynomial=Polynomial({(): 2.0, (1,): 1.0}))
     uhat = discretize(constant_input(3.0, 1.0), 4)
     res = dt_fliess_truncated(c, uhat, J=2)
-    assert res.truncation_order == 2
-    assert res.steps_used == 4
-    assert res.value == pytest.approx(2.0 + 3.0)  # 2 + sum of increments
+    assert isinstance(res, float)
+    assert res == pytest.approx(2.0 + 3.0)  # 2 + sum of increments
 
 
 def test_dt_fliess_trajectory_starts_at_empty_coefficient():
@@ -273,8 +322,8 @@ def test_fliess_truncated_polynomial_series():
     c = SeriesSpec(Alphabet(1), polynomial=Polynomial({(): 1.0, (1,): 2.0}))
     u = constant_input(3.0, 0.5)
     res = fliess_truncated(c, u, J=4)
-    assert res.value == pytest.approx(4.0, abs=1e-12)
-    assert res.truncation_order == 4
+    assert isinstance(res, float)
+    assert res == pytest.approx(4.0, abs=1e-12)
 
 
 def test_fliess_truncated_callback_series():
@@ -282,4 +331,4 @@ def test_fliess_truncated_callback_series():
     c = SeriesSpec(Alphabet(0), callback=lambda w: 1.0)
     u = ContinuousInput([], 1.0)
     res = fliess_truncated(c, u, J=12)
-    assert res.value == pytest.approx(math.e, abs=1e-9)
+    assert res == pytest.approx(math.e, abs=1e-9)

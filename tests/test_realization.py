@@ -21,12 +21,17 @@ from fliess.realization import (
     backward_step,
     ct_bilinear_simulate,
     forward_step,
-    implicit_discretize_step,
     one_step_identity_check,
     simulate_backward,
     simulate_forward,
 )
-from fliess.signals import DiscreteInput, constant_input, discretize
+from fliess.signals import (
+    ContinuousInput,
+    DiscreteInput,
+    SinusoidChannel,
+    constant_input,
+    discretize,
+)
 
 from conftest import random_pc_input, random_polynomial_series
 
@@ -96,11 +101,13 @@ def test_unknown_policy_rejected():
 
 
 def test_implicit_discretize_step_matches_forward():
+    # the implicit discretization z' = z + sum_j A_j uhat_j z' of the bilinear
+    # system; for the geometric rep (A_0 = 0, A_1 = 1) it gives z' = z / (1 - uhat_1)
     rep = geometric_rep()
     z = np.array([2.0])
     u_next = np.array([0.1, 0.04])
-    expected = forward_step(StateAffineSystem(rep), z, u_next)
-    assert np.allclose(implicit_discretize_step(rep, z, u_next), expected)
+    expected = z / (1.0 - 0.04)
+    assert np.allclose(forward_step(StateAffineSystem(rep), z, u_next), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +206,15 @@ def test_ct_bilinear_exponential():
     assert times[0] == 0.0 and times[-1] == pytest.approx(0.5)
     assert outputs[0] == pytest.approx(1.0)
     assert outputs[-1] == pytest.approx(math.exp(2.0), rel=1e-10)
+
+
+def test_ct_bilinear_tracks_time_varying_input():
+    # dz/dt = u(t) z with u = a sin(w t): z(t) = exp(a (1 - cos(w t)) / w)
+    a, w = 1.5, 7.0
+    u = ContinuousInput([SinusoidChannel(a, w)], 2.0)
+    times, outputs = ct_bilinear_simulate(geometric_rep(), u, steps=400)
+    expected = np.exp(a * (1.0 - np.cos(w * times)) / w)
+    assert np.max(np.abs(outputs / expected - 1.0)) < 1e-9
 
 
 def test_ct_bilinear_rejects_explosion():

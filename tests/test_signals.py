@@ -23,7 +23,6 @@ from fliess.signals import (
     constant_input,
     discretize,
     l1_norm,
-    sup_increment_norm,
 )
 
 from conftest import random_pc_input
@@ -222,7 +221,7 @@ def test_discrete_input_invariants():
     assert uhat.T == pytest.approx(1.0)
     assert uhat.sup_norm() == pytest.approx(0.5)          # all channels, incl. drift
     assert uhat.sup_norm([1]) == pytest.approx(0.5)
-    assert sup_increment_norm(uhat) == uhat.sup_norm()
+    assert uhat.sup_norm() == uhat.sup_norm([0, 1])          # default: every channel
     pre = uhat.prefix(2)
     assert pre.L == 2 and pre.delta == uhat.delta
     assert np.array_equal(pre.values, uhat.values[:2])
