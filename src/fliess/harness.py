@@ -197,29 +197,43 @@ def format_float(v) -> str:
 # config parsing
 # ---------------------------------------------------------------------------
 
+def _finite(value, path: str):
+    """``float(value)``, or nested lists of them, rejecting NaN and
+    infinities (also when given as strings such as ``"inf"``) by the field's
+    path (e.g. ``input.channels.0.level``)."""
+    if isinstance(value, (list, tuple)):
+        return [_finite(v, f"{path}.{i}") for i, v in enumerate(value)]
+    x = float(value)
+    if not math.isfinite(x):
+        raise DomainError(f"{path} must be a finite number, got {value!r}")
+    return x
+
+
 def _check_finite(doc, path: str = "") -> None:
-    """Reject NaN and infinities anywhere in a config document, naming the
-    field by its path (e.g. ``input.channels.0.level``)."""
-    if isinstance(doc, float) and not math.isfinite(doc):
-        raise DomainError(f"{path} must be a finite number, got {doc!r}")
-    if isinstance(doc, (dict, list)):
+    """Reject NaN and infinities anywhere in a config document, also in
+    fields that are not read as numbers."""
+    if isinstance(doc, float):
+        _finite(doc, path)
+    elif isinstance(doc, (dict, list)):
         for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
             _check_finite(value, f"{path}.{key}" if path else str(key))
 
 
-def _integer(doc: dict, key: str) -> int:
-    value = float(doc[key])
+def _integer(doc: dict, key: str, path: str = "") -> int:
+    field = f"{path}.{key}" if path else key
+    value = _finite(doc[key], field)
     if not value.is_integer():
-        raise DomainError(f"{key} must be an integer, got {doc[key]!r}")
+        raise DomainError(f"{field} must be an integer, got {doc[key]!r}")
     return int(value)
 
 
-def _parse_growth(doc: dict) -> GrowthClass:
+def _parse_growth(doc: dict, path: str) -> GrowthClass:
     try:
         kind = Growth(doc["kind"])
     except (KeyError, ValueError) as exc:
         raise DomainError(f"growth kind must be one of {[g.value for g in Growth]}") from exc
-    return GrowthClass(kind, float(doc.get("K", 1.0)), float(doc.get("M", 1.0)))
+    return GrowthClass(kind, _finite(doc.get("K", 1.0), f"{path}.K"),
+                       _finite(doc.get("M", 1.0), f"{path}.M"))
 
 
 def _parse_system(doc: dict) -> tuple[SeriesSpec, Optional[Callable[[float], float]], str]:
@@ -230,28 +244,28 @@ def _parse_system(doc: dict) -> tuple[SeriesSpec, Optional[Callable[[float], flo
         b = _BUILTINS[name]()
         return b.series, b.analytic_output, name
     if "polynomial" in doc:
-        spec = doc["polynomial"]
-        terms = {tuple(t["word"]): float(t["coeff"]) for t in spec["terms"]}
-        m = int(spec["m"])
+        spec, path = doc["polynomial"], "system.polynomial"
+        terms = {tuple(t["word"]): _finite(t["coeff"], f"{path}.terms.{i}.coeff")
+                 for i, t in enumerate(spec["terms"])}
         series = SeriesSpec(
-            Alphabet(m),
+            Alphabet(_integer(spec, "m", path)),
             polynomial=Polynomial(terms),
-            growth=_parse_growth(spec["growth"]),
+            growth=_parse_growth(spec["growth"], f"{path}.growth"),
             label=spec.get("label", "polynomial"),
         )
         return series, None, series.label
     if "representation" in doc:
-        spec = doc["representation"]
+        spec, path = doc["representation"], "system.representation"
         rep = LinearRepresentation(
-            [np.array(a, dtype=float) for a in spec["matrices"]],
-            np.array(spec["gamma"], dtype=float),
-            np.array(spec["lam"], dtype=float),
+            [np.array(a, dtype=float) for a in _finite(spec["matrices"], f"{path}.matrices")],
+            np.array(_finite(spec["gamma"], f"{path}.gamma"), dtype=float),
+            np.array(_finite(spec["lam"], f"{path}.lam"), dtype=float),
         )
         support = spec.get("support_letters")
         series = SeriesSpec(
             Alphabet(rep.m),
             representation=rep,
-            growth=_parse_growth(spec["growth"]),
+            growth=_parse_growth(spec["growth"], f"{path}.growth"),
             support_letters=set(support) if support is not None else None,
             label=spec.get("label", "representation"),
         )
@@ -259,44 +273,38 @@ def _parse_system(doc: dict) -> tuple[SeriesSpec, Optional[Callable[[float], flo
     raise DomainError("system must give one of: builtin, polynomial, representation")
 
 
-def _parse_channel(doc: dict) -> Channel:
+def _parse_channel(doc: dict, path: str) -> tuple[Channel, str]:
+    """A channel and its label in the report's input column."""
     kind = doc.get("kind")
     if kind == "constant":
-        return ConstantChannel(float(doc["level"]))
+        level = _finite(doc["level"], f"{path}.level")
+        return ConstantChannel(level), format_float(level)
     if kind == "sinusoid":
-        return SinusoidChannel(
-            float(doc.get("amplitude", 1.0)),
-            float(doc["omega"]),
-            float(doc.get("phase", 0.0)),
-        )
-    if kind == "piecewise_constant":
-        return PiecewiseConstantChannel(doc["breakpoints"], doc["values"])
-    if kind == "sampled":
-        return SampledChannel(doc["times"], doc["values"])
-    raise DomainError(f"unknown channel kind {kind!r}")
-
-
-def _channel_label(doc: dict) -> str:
-    kind = doc.get("kind")
-    if kind == "constant":
-        return format_float(float(doc["level"]))
-    if kind == "sinusoid":
-        a = float(doc.get("amplitude", 1.0))
+        a = _finite(doc.get("amplitude", 1.0), f"{path}.amplitude")
+        omega = _finite(doc["omega"], f"{path}.omega")
         prefix = "" if a == 1.0 else f"{format_float(a)}*"
-        return f"{prefix}sin({format_float(float(doc['omega']))}t)"
-    return kind or "?"
+        return (SinusoidChannel(a, omega, _finite(doc.get("phase", 0.0), f"{path}.phase")),
+                f"{prefix}sin({format_float(omega)}t)")
+    if kind == "piecewise_constant":
+        return PiecewiseConstantChannel(_finite(doc["breakpoints"], f"{path}.breakpoints"),
+                                        _finite(doc["values"], f"{path}.values")), kind
+    if kind == "sampled":
+        return SampledChannel(_finite(doc["times"], f"{path}.times"),
+                              _finite(doc["values"], f"{path}.values")), kind
+    raise DomainError(f"unknown channel kind {kind!r}")
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from a decoded JSON document.  Raises
-    DomainError on any missing, out-of-range, non-finite or (for L and J)
-    non-integral field."""
+    DomainError on any missing, out-of-range, non-finite or (for L, J and
+    m) non-integral field; numbers given as strings are read as numbers."""
     try:
         _check_finite(doc)
         series, analytic, sys_label = _parse_system(doc["system"])
-        channels = [_parse_channel(ch) for ch in doc["input"]["channels"]]
-        labels = ", ".join(_channel_label(ch) for ch in doc["input"]["channels"])
-        u = ContinuousInput(channels, float(doc["T"]), label=labels)
+        parsed = [_parse_channel(ch, f"input.channels.{i}")
+                  for i, ch in enumerate(doc["input"]["channels"])]
+        u = ContinuousInput([ch for ch, _ in parsed], _finite(doc["T"], "T"),
+                            label=", ".join(label for _, label in parsed))
         cfg = ExperimentConfig(
             series=series,
             input=u,

@@ -18,6 +18,16 @@ step without any linear solve.
 below a threshold (default 1 - 1e-9), a sufficient condition for the
 resolvent to exist; ``solve_with_residual`` just solves and checks the
 residual, admitting increments the conservative test would reject.
+
+The continuous reference is classical RK4 on the bilinear system.  Its field
+is linear in z, so each step is a product z' = Phi_k z with a one-step
+propagator Phi_k that is algebraically the staged k1..k4 update.
+
+Both run on time blocks of at most about _BLOCK_FLOATS floats per stacked
+array: the matrices of a block (increments B(N) with one ``strict_norm``
+check for the whole stack, or field matrices and propagators) come from
+batched numpy calls, and the Python loop does one solve or one matvec per
+step.  Resolvent steps are still solved, never inverted.
 """
 
 from __future__ import annotations
@@ -30,6 +40,12 @@ import numpy as np
 from .algebra import DomainError, LinearRepresentation, SeriesSpec, left_shift
 from .operators import dt_fliess_trajectory, dt_fliess_truncated
 from .signals import ContinuousInput, DiscreteInput
+
+# floats per stacked (steps, dim, dim) array in one time block: keeps a
+# block's memory small and flat in the horizon
+_BLOCK_FLOATS = 2 ** 12
+# RK4 blocks whose stage bound stays below this cannot overflow
+_OVERFLOW_GUARD = 0.5 * np.finfo(float).max
 
 
 class SingularTransition(ArithmeticError):
@@ -86,6 +102,53 @@ class Trajectory:
         return self.outputs.size
 
 
+def _block_steps(dim: int) -> int:
+    """Steps per time block, so that a block's (steps, dim, dim) stacks hold
+    about _BLOCK_FLOATS floats whatever the horizon."""
+    return max(1, _BLOCK_FLOATS // max(1, dim * dim))
+
+
+def _step_error(cls, message: str, step: Optional[int]):
+    return cls(message if step is None else f"step {step}: {message}", step)
+
+
+def _check_norms(sys: StateAffineSystem, B: np.ndarray, first_step: Optional[int] = None) -> None:
+    """The ``strict_norm`` test on a stack B of increment matrices: raise
+    PolicyViolation at the first whose induced infinity norm reaches the
+    threshold.  ``first_step`` is the step number of B[0], if it has one."""
+    if sys.invertibility_policy != "strict_norm":
+        return
+    norms = np.abs(B).sum(axis=-1).max(axis=-1, initial=0.0).reshape(-1)
+    bad = np.flatnonzero(norms >= sys.norm_threshold)
+    if bad.size:
+        k = int(bad[0])
+        raise _step_error(
+            PolicyViolation,
+            f"||sum A_j uhat_j||_inf = {norms[k]:g} >= {sys.norm_threshold:g}; "
+            "increments too large for the conservative resolvent test",
+            None if first_step is None else first_step + k,
+        )
+
+
+def _solve(sys: StateAffineSystem, matrix: np.ndarray, z: np.ndarray, step: Optional[int] = None) -> np.ndarray:
+    """Solve matrix @ z' = z; under ``solve_with_residual`` also demand a
+    residual below 1e-10 * ||z||.  Failures raise SingularTransition."""
+    try:
+        z_next = np.linalg.solve(matrix, z)
+    except np.linalg.LinAlgError as exc:
+        raise _step_error(SingularTransition, f"resolvent solve failed: {exc}", step) from exc
+    if sys.invertibility_policy == "solve_with_residual":
+        residual = float(np.max(np.abs(matrix @ z_next - z), initial=0.0))
+        scale = float(np.max(np.abs(z), initial=0.0))
+        if residual > 1e-10 * max(scale, 1e-300):
+            raise _step_error(
+                SingularTransition,
+                f"resolvent solve residual {residual:g} too large (state norm {scale:g})",
+                step,
+            )
+    return z_next
+
+
 def forward_step(sys: StateAffineSystem, z: np.ndarray, u_next: np.ndarray) -> np.ndarray:
     """One resolvent step: solve (I - sum_j A_j uhat_j) z' = z.
 
@@ -98,26 +161,8 @@ def forward_step(sys: StateAffineSystem, z: np.ndarray, u_next: np.ndarray) -> n
     """
     z = np.asarray(z, dtype=float).reshape(sys.dim)
     B = sys.rep.letter_sum(u_next)
-    if sys.invertibility_policy == "strict_norm":
-        norm = float(np.max(np.sum(np.abs(B), axis=1))) if sys.dim else 0.0
-        if norm >= sys.norm_threshold:
-            raise PolicyViolation(
-                f"||sum A_j uhat_j||_inf = {norm:g} >= {sys.norm_threshold:g}; "
-                "increments too large for the conservative resolvent test"
-            )
-    matrix = np.eye(sys.dim) - B
-    try:
-        z_next = np.linalg.solve(matrix, z)
-    except np.linalg.LinAlgError as exc:
-        raise SingularTransition(f"resolvent solve failed: {exc}") from exc
-    if sys.invertibility_policy == "solve_with_residual":
-        residual = float(np.max(np.abs(matrix @ z_next - z)))
-        if residual > 1e-10 * max(float(np.max(np.abs(z))), 1e-300):
-            raise SingularTransition(
-                f"resolvent solve residual {residual:g} too large "
-                f"(state norm {float(np.max(np.abs(z))):g})"
-            )
-    return z_next
+    _check_norms(sys, B)
+    return _solve(sys, np.eye(sys.dim) - B, z)
 
 
 def backward_step(sys: StateAffineSystem, z_next: np.ndarray, u_next: np.ndarray) -> np.ndarray:
@@ -142,19 +187,23 @@ def simulate_forward(sys: StateAffineSystem, uhat: DiscreteInput, N_f: Optional[
     """Run the forward recursion from z(0) = gamma for N_f steps.
 
     The output sequence equals the untruncated discrete-time functional of
-    the represented series at every step.  Step failures propagate with the
-    failing step index attached.
+    the represented series at every step.  Steps run in time blocks: the
+    increment matrices B(N) of a block are built in one call and pass the
+    ``strict_norm`` test together, then each step solves (I - B(N)) z' = z,
+    so the resolvent is still solved, never inverted.  Step failures
+    propagate with the failing step index attached.
     """
     N_f = _step_count(sys, uhat, N_f)
     states = np.empty((N_f + 1, sys.dim))
     states[0] = sys.rep.gamma
-    for n in range(N_f):
-        try:
-            states[n + 1] = forward_step(sys, states[n], uhat.values[n])
-        except (SingularTransition, PolicyViolation) as exc:
-            exc.step = n + 1
-            exc.args = (f"step {n + 1}: {exc.args[0]}",)
-            raise
+    block = _block_steps(sys.dim)
+    for start in range(0, N_f, block):
+        B = sys.rep.letter_sum(uhat.values[start:min(start + block, N_f)])
+        _check_norms(sys, B, first_step=start + 1)
+        M = np.eye(sys.dim) - B
+        for k in range(len(M)):
+            n = start + k
+            states[n + 1] = _solve(sys, M[k], states[n], step=n + 1)
     return Trajectory(states, states @ sys.rep.lam)
 
 
@@ -165,7 +214,7 @@ def simulate_backward(
     terminal_state: Optional[np.ndarray] = None,
 ) -> Trajectory:
     """Run the backward recursion z(N) = (I - sum_j A_j uhat_j(N+1)) z(N+1)
-    down from step N_f.
+    down from step N_f, one matvec per step over the B(N) of a time block.
 
     ``terminal_state`` defaults to gamma (the reversed-time initial data);
     passing a forward trajectory's final state instead reproduces that
@@ -178,9 +227,59 @@ def simulate_backward(
         sys.rep.gamma if terminal_state is None
         else np.asarray(terminal_state, dtype=float).reshape(sys.dim)
     )
-    for n in range(N_f - 1, -1, -1):
-        states[n] = backward_step(sys, states[n + 1], uhat.values[n])
+    block = _block_steps(sys.dim)
+    for stop in range(N_f, 0, -block):
+        start = max(stop - block, 0)
+        B = sys.rep.letter_sum(uhat.values[start:stop])
+        for n in range(stop - 1, start - 1, -1):
+            z = states[n + 1]
+            states[n] = z - B[n - start] @ z
     return Trajectory(states, states @ sys.rep.lam)
+
+
+def _rk4_propagators(F_nodes: np.ndarray, F_mid: np.ndarray, h: float) -> np.ndarray:
+    """One-step RK4 propagators Phi_k, with z_{k+1} = Phi_k z_k, for the
+    linear field dz/dt = F(t) z, from the field matrices at the step nodes
+    (F_nodes, one more than steps) and midpoints (F_mid).  Expanding the
+    classical stages k1..k4 in z gives exactly
+
+        K2 = F_m + (h/2) F_m F_0,   K3 = F_m + (h/2) F_m K2,
+        K4 = F_1 + h F_1 K3,        Phi = I + (h/6)(F_0 + 2 K2 + 2 K3 + K4).
+    """
+    F0, F1 = F_nodes[:-1], F_nodes[1:]
+    K2 = F_mid + (0.5 * h) * (F_mid @ F0)
+    K3 = F_mid + (0.5 * h) * (F_mid @ K2)
+    K4 = F1 + h * (F1 @ K3)
+    Phi = (h / 6.0) * (F0 + 2.0 * K2 + 2.0 * K3 + K4)
+    Phi += np.eye(F0.shape[-1])
+    return Phi
+
+
+def _stages_stay_finite(F_nodes: np.ndarray, F_mid: np.ndarray, h: float,
+                        z_start: np.ndarray, block_states: np.ndarray) -> bool:
+    """Whether no classical RK4 stage of a block can overflow.  With a the
+    largest induced infinity norm of the block's field matrices, every
+    intermediate of a staged step from z is at most 6 (1 + a)(1 + h a)^4 |z|;
+    the factor 8 below leaves room for rounding."""
+    a = np.max([np.abs(F).sum(axis=-1).max(initial=0.0) for F in (F_nodes, F_mid)])
+    z_max = np.max([np.abs(z).max(initial=0.0) for z in (z_start, block_states)])
+    return bool(z_max * 8.0 * (1.0 + a) * (1.0 + h * a) ** 4 < _OVERFLOW_GUARD)
+
+
+def _rk4_staged(F_nodes: np.ndarray, F_mid: np.ndarray, h: float,
+                z: np.ndarray, out: np.ndarray) -> Optional[int]:
+    """Classical RK4 stages k1..k4, one step at a time from z, writing each
+    new state to a row of ``out``.  Returns the index of the first row that
+    is not finite, or None."""
+    for k in range(len(out)):
+        k1 = F_nodes[k] @ z
+        k2 = F_mid[k] @ (z + 0.5 * h * k1)
+        k3 = F_mid[k] @ (z + 0.5 * h * k2)
+        k4 = F_nodes[k + 1] @ (z + h * k3)
+        z = out[k] = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(z)):
+            return k
+    return None
 
 
 def ct_bilinear_simulate(
@@ -195,7 +294,14 @@ def ct_bilinear_simulate(
 
     with fixed step T/steps.  Returns (times, outputs) at the step nodes.
     This is the continuous-time reference that discretizations are measured
-    against.  Raises NonFinite if the state blows up along the way.
+    against.  Raises NonFinite, naming the first step node where the state
+    is not finite, if the state blows up along the way.
+
+    The field is linear in z, so each RK4 step is a product z' = Phi_k z
+    with a one-step propagator Phi_k that is algebraically the staged
+    k1..k4 update.  Steps run in time blocks: the propagators of a block
+    come from batched matrix products, and the loop does one matvec per
+    step.
     """
     if rep.m != u.m:
         raise DomainError(f"representation has m={rep.m} but input has m={u.m}")
@@ -216,20 +322,27 @@ def ct_bilinear_simulate(
     z = np.array(rep.gamma, dtype=float)
     outputs = np.empty(steps + 1)
     outputs[0] = float(rep.lam @ z)
-    field_next = rep.letter_sum(weights[0])
+    block = _block_steps(rep.dim)
     # overflow is detected and reported, not propagated as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            field, field_mid = field_next, rep.letter_sum(weights[2 * k + 1])
-            field_next = rep.letter_sum(weights[2 * k + 2])
-            k1 = field @ z
-            k2 = field_mid @ (z + 0.5 * h * k1)
-            k3 = field_mid @ (z + 0.5 * h * k2)
-            k4 = field_next @ (z + h * k3)
-            z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(z)):
-                raise NonFinite(f"state non-finite at t = {times[k + 1]:g}")
-            outputs[k + 1] = float(rep.lam @ z)
+        for start in range(0, steps, block):
+            stop = min(start + block, steps)
+            F_nodes = rep.letter_sum(weights[2 * start:2 * stop + 1:2])
+            F_mid = rep.letter_sum(weights[2 * start + 1:2 * stop:2])
+            Phi = _rk4_propagators(F_nodes, F_mid, h)
+            block_states = np.empty((stop - start, rep.dim))
+            z_start = z
+            for k in range(stop - start):
+                z = block_states[k] = Phi[k] @ z
+            if not _stages_stay_finite(F_nodes, F_mid, h, z_start, block_states):
+                # near overflow the stages can overflow a step before the
+                # product does: rerun the block staged, so the reported step
+                # is the one where the classical update first fails
+                bad = _rk4_staged(F_nodes, F_mid, h, z_start, block_states)
+                if bad is not None:
+                    raise NonFinite(f"state non-finite at t = {times[start + bad + 1]:g}")
+                z = block_states[-1]
+            outputs[start + 1:stop + 1] = block_states @ rep.lam
     return times, outputs
 
 

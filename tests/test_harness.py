@@ -405,6 +405,14 @@ def test_cli_config_errors_exit_2(tmp_path, doc_mutation, capsys):
                                     "growth": {"kind": "GC", "K": math.nan}}}}, "growth.K"),
         ({"system": {"polynomial": {"m": 1, "terms": [{"word": [1], "coeff": math.inf}],
                                     "growth": {"kind": "GC"}}}}, "terms.0.coeff"),
+        # numbers given as strings are converted, then checked the same way
+        ({"input": {"channels": [{"kind": "constant", "level": "nan"}]}}, "channels.0.level"),
+        ({"T": "inf"}, "T"),
+        ({"system": {"representation": {"matrices": [[[0.0]], [["nan"]]], "gamma": [1.0],
+                                        "lam": [1.0], "growth": {"kind": "GC"}}}},
+         "representation.matrices.1.0.0"),
+        ({"system": {"polynomial": {"m": 1.5, "terms": [{"word": [1], "coeff": 1.0}],
+                                    "growth": {"kind": "GC"}}}}, "polynomial.m"),
     ],
 )
 def test_cli_rejects_bad_numbers_exit_2(tmp_path, doc_mutation, field, capsys):
@@ -416,6 +424,16 @@ def test_cli_rejects_bad_numbers_exit_2(tmp_path, doc_mutation, field, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{field} must be" in captured.err
+
+
+def test_cli_accepts_finite_numbers_given_as_strings(tmp_path, capsys):
+    path = write_doc(tmp_path, BASE_DOC)
+    assert cli.main(["run", path]) == 0
+    expected = capsys.readouterr().out
+    doc = dict(BASE_DOC, T="0.5", L="20",
+               input={"channels": [{"kind": "constant", "level": "1.0"}]})
+    assert cli.main(["run", write_doc(tmp_path, doc, "strings.json")]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_cli_missing_and_malformed_files(tmp_path, capsys):

@@ -2,6 +2,7 @@
 back to the continuous bilinear system."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from fliess.algebra import (
 from fliess.operators import iterated_sum_trajectory
 from fliess.realization import (
     NonFinite,
+    _block_steps,
     PolicyViolation,
     SingularTransition,
     StateAffineSystem,
@@ -28,6 +30,8 @@ from fliess.realization import (
 from fliess.signals import (
     ContinuousInput,
     DiscreteInput,
+    PiecewiseConstantChannel,
+    SampledChannel,
     SinusoidChannel,
     constant_input,
     discretize,
@@ -168,6 +172,68 @@ def test_policy_violation_reports_step():
     with pytest.raises(PolicyViolation) as exc:
         simulate_forward(StateAffineSystem(geometric_rep()), uhat)
     assert "step" in str(exc.value)
+    assert exc.value.step == 9
+
+
+def test_policy_violation_reports_step_in_later_block():
+    # the first violation lies in the second time block; a later one is ignored
+    block = _block_steps(1)
+    L = block + 500
+    values = np.column_stack([np.full(L, 0.1), np.full(L, 0.01)])
+    values[block + 99, 1] = 1.5
+    values[block + 300, 1] = 2.0
+    uhat = DiscreteInput(m=1, L=L, delta=0.1, values=values)
+    with pytest.raises(PolicyViolation) as exc:
+        simulate_forward(StateAffineSystem(geometric_rep()), uhat)
+    assert exc.value.step == block + 100
+    assert str(exc.value).startswith(f"step {block + 100}: ")
+
+
+def test_singular_step_reported_by_simulate_forward():
+    # I - B(N) = 0 exactly at one step of the second time block: the solve
+    # fails there under solve_with_residual
+    N = _block_steps(1) + 7
+    L = N + 5
+    values = np.column_stack([np.full(L, 1e-3), np.full(L, 1e-4)])
+    values[N - 1, 1] = 1.0
+    uhat = DiscreteInput(m=1, L=L, delta=1e-3, values=values)
+    sys = StateAffineSystem(geometric_rep(), invertibility_policy="solve_with_residual")
+    with pytest.raises(SingularTransition) as exc:
+        simulate_forward(sys, uhat)
+    assert exc.value.step == N
+    assert str(exc.value).startswith(f"step {N}: ")
+
+
+@pytest.mark.parametrize("n, L_blocks", [(1, 1.5), (3, 2.2), (8, 3.4)])
+def test_simulate_matches_step_loops(rng, n, L_blocks):
+    # oracle: the public one-step maps, applied one step at a time
+    L = int(L_blocks * _block_steps(n))
+    mats = [rng.uniform(-1, 1, (n, n)) / n for _ in range(3)]
+    sys = StateAffineSystem(
+        LinearRepresentation(mats, rng.uniform(-1, 1, n), rng.uniform(-1, 1, n))
+    )
+    uhat = random_uhat(rng, m=2, L=L, delta=2.0 / L, scale=4.0 / L)
+    fwd = simulate_forward(sys, uhat)
+    z = sys.rep.gamma.copy()
+    expected = [z]
+    for n_step in range(L):
+        z = forward_step(sys, z, uhat.values[n_step])
+        expected.append(z)
+    expected = np.array(expected)
+    scale = max(1.0, float(np.abs(expected).max()))
+    assert np.max(np.abs(fwd.states - expected)) <= 1e-13 * scale
+    assert np.max(np.abs(fwd.outputs - expected @ sys.rep.lam)) <= 1e-13 * scale
+
+    terminal = rng.uniform(-1, 1, n)
+    back = simulate_backward(sys, uhat, terminal_state=terminal)
+    z = terminal
+    expected = [z]
+    for n_step in range(L - 1, -1, -1):
+        z = backward_step(sys, z, uhat.values[n_step])
+        expected.append(z)
+    expected = np.array(expected[::-1])
+    scale = max(1.0, float(np.abs(expected).max()))
+    assert np.max(np.abs(back.states - expected)) <= 1e-13 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +291,112 @@ def test_ct_bilinear_rejects_explosion():
     )
     with pytest.raises(NonFinite):
         ct_bilinear_simulate(rep, constant_input(100.0, 10.0), steps=50)
+
+
+def staged_rk4(rep, u, T, steps):
+    """The classical k1..k4 stages, one step at a time: the slow route that
+    the one-step propagators of ct_bilinear_simulate replace."""
+    h = T / steps
+    times = np.linspace(0.0, T, steps + 1)
+    stage_times = np.linspace(0.0, T, 2 * steps + 1)
+    weights = np.column_stack([np.ones_like(stage_times)]
+                              + [u.value(j, stage_times) for j in range(1, rep.m + 1)])
+    z = np.array(rep.gamma, dtype=float)
+    outputs = np.empty(steps + 1)
+    outputs[0] = float(rep.lam @ z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            field = rep.letter_sum(weights[2 * k])
+            field_mid = rep.letter_sum(weights[2 * k + 1])
+            field_next = rep.letter_sum(weights[2 * k + 2])
+            k1 = field @ z
+            k2 = field_mid @ (z + 0.5 * h * k1)
+            k3 = field_mid @ (z + 0.5 * h * k2)
+            k4 = field_next @ (z + h * k3)
+            z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.isfinite(z)):
+                raise NonFinite(f"state non-finite at t = {times[k + 1]:g}")
+            outputs[k + 1] = float(rep.lam @ z)
+    return times, outputs
+
+
+def random_channel(rng, kind, T):
+    if kind == "sinusoid":
+        return SinusoidChannel(rng.uniform(0.5, 2.0), rng.uniform(1.0, 20.0), rng.uniform(0, 3))
+    if kind == "piecewise_constant":
+        breaks = np.sort(rng.uniform(0.0, T, size=3))
+        return PiecewiseConstantChannel(breaks.tolist(), rng.uniform(-2, 2, size=4).tolist())
+    times = np.linspace(0.0, T, 9)
+    return SampledChannel(times, rng.uniform(-2, 2, size=9))
+
+
+@pytest.mark.parametrize(
+    "m, n, kinds",
+    [
+        (1, 1, ("sinusoid",)),
+        (1, 8, ("piecewise_constant",)),
+        (2, 3, ("sampled", "sinusoid")),
+        (2, 8, ("sinusoid", "piecewise_constant")),
+        (2, 5, ("piecewise_constant", "sampled")),
+    ],
+)
+def test_ct_bilinear_matches_staged_rk4(rng, m, n, kinds):
+    T = 1.0
+    mats = [rng.uniform(-1, 1, (n, n)) * (1.5 / n) for _ in range(m + 1)]
+    rep = LinearRepresentation(mats, rng.uniform(-1, 1, n), rng.uniform(-1, 1, n))
+    u = ContinuousInput([random_channel(rng, kind, T) for kind in kinds], T)
+    block = _block_steps(n)
+    for steps in sorted({1, 7, block - 1, block, block + 1, 2001, 4097}):
+        times, outputs = ct_bilinear_simulate(rep, u, steps=steps)
+        ref_times, ref_outputs = staged_rk4(rep, u, T, steps)
+        assert np.array_equal(times, ref_times)
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(ref_outputs))))
+        assert np.max(np.abs(outputs - ref_outputs)) <= tol, steps
+
+
+@pytest.mark.parametrize(
+    "rep, level, steps",
+    [
+        # overflow near t = 7.0 and 4.7, in the second time block of each; the
+        # classical stages overflow a step before the propagated state would
+        (geometric_rep(), 100.0, 6000),
+        (
+            LinearRepresentation(
+                [np.zeros((2, 2)), np.array([[1.0, 0.5], [0.0, 0.8]])],
+                np.array([0.0, 1.0]),
+                np.array([1.0, 1.0]),
+            ),
+            150.0,
+            3000,
+        ),
+        # the stages overflow at step 4096, the last of the first block, while
+        # the propagated state stays finite until the next block
+        (geometric_rep(), 103.05, 6000),
+    ],
+)
+def test_ct_bilinear_nonfinite_names_first_time(rep, level, steps):
+    u = constant_input(level, 10.0)
+    with pytest.raises(NonFinite) as expected:
+        staged_rk4(rep, u, 10.0, steps)
+    with pytest.raises(NonFinite) as exc:
+        ct_bilinear_simulate(rep, u, steps=steps)
+    assert str(exc.value) == str(expected.value)
+
+
+def test_ct_bilinear_memory_stays_flat(rng):
+    # no (steps + 1, n) state array: only the stage weights grow with steps
+    n = 8
+    mats = [rng.uniform(-1, 1, (n, n)) / n for _ in range(2)]
+    rep = LinearRepresentation(mats, np.ones(n), np.ones(n))
+    u = ContinuousInput([SinusoidChannel(1.0, 3.0)], 1.0)
+    tracemalloc.start()
+    try:
+        times, outputs = ct_bilinear_simulate(rep, u, steps=10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outputs.shape == (10**5 + 1,)
+    assert peak < 9.5 * 2**20
 
 
 def test_resolvent_converges_to_bilinear_first_order():
