@@ -259,6 +259,18 @@ def effective_alphabet(c: SeriesSpec) -> tuple[int, tuple[int, ...]]:
     return max(len(letters) - 1, 0), letters
 
 
+def bound_inputs(
+    c: SeriesSpec, u: ContinuousInput, uhat: DiscreteInput, J: int = 0
+) -> BoundInputs:
+    """BoundInputs of a series with a growth class on u and its discretization:
+    m and norms over the effective alphabet, Rbar = max(||u||_1, T)."""
+    m_eff, letters = effective_alphabet(c)
+    return BoundInputs(
+        K=c.growth.K, M=c.growth.M, m=m_eff, L=uhat.L, J=J,
+        norm_uhat=uhat.sup_norm(letters), Rbar=max(l1_norm(u), u.T),
+    )
+
+
 def regime_check(
     c: SeriesSpec,
     u: ContinuousInput,
@@ -267,39 +279,36 @@ def regime_check(
     ratio_min: float = 5.0,
 ) -> list[str]:
     """Advisory warnings about being outside the regions where the bounds
-    are meaningful: the LC operator radius Rbar < 1/(M(m+1)), divergence of
-    the LC bound formulas (s_hat or s >= 1), and the steps-per-order ratio
-    L/J falling below ``ratio_min``.  Norms and m are taken over the series'
-    effective alphabet."""
+    are meaningful (see regime_warnings).  Norms and m are taken over the
+    series' effective alphabet; J = None skips the L/J test."""
     if c.growth is None:
         raise DomainError("regime_check needs a declared growth class")
-    m_eff, letters = effective_alphabet(c)
-    M = c.growth.M
-    factor = M * (m_eff + 1)
-    Rbar = max(l1_norm(u), u.T)
+    return regime_warnings(c.growth.kind, bound_inputs(c, u, uhat, J or 0), ratio_min)
+
+
+def regime_warnings(kind: Growth, b: BoundInputs, ratio_min: float = 5.0) -> list[str]:
+    """Warnings for a series of growth ``kind``: the LC operator radius
+    Rbar < 1/(M(m+1)), divergence of the LC bound formulas (s_hat or s >= 1),
+    the GC discrete radius ||uhat||_inf < 1/(M(m+1)), and the steps-per-order
+    ratio L/J falling below ``ratio_min`` (J = 0 skips it)."""
+    radius = 1.0 / (b.M * (b.m + 1))
     warnings = []
-    if c.growth.kind is Growth.LC:
-        if Rbar >= 1.0 / factor:
+    if kind is Growth.LC:
+        if b.Rbar >= radius:
             warnings.append(
-                f"Rbar = {Rbar:g} outside the operator convergence radius "
-                f"1/(M(m+1)) = {1.0 / factor:g}"
+                f"Rbar = {b.Rbar:g} outside the operator convergence radius "
+                f"1/(M(m+1)) = {radius:g}"
             )
-        shat = factor * uhat.L * uhat.sup_norm(letters)
-        s = factor * Rbar
-        if shat >= 1.0:
-            warnings.append(f"s_hat = {shat:g} >= 1: LC bound formulas diverge")
-        if s >= 1.0:
-            warnings.append(f"s = {s:g} >= 1: LC tail bound diverges")
-    if c.growth.kind is Growth.GC:
-        radius = 1.0 / factor
-        if uhat.sup_norm(letters) >= radius:
-            warnings.append(
-                f"||uhat||_inf = {uhat.sup_norm(letters):g} at or beyond the "
-                f"discrete convergence radius {radius:g}"
-            )
-    if J is not None and J > 0 and uhat.L / J < ratio_min:
+        if b.s_hat >= 1.0:
+            warnings.append(f"s_hat = {b.s_hat:g} >= 1: LC bound formulas diverge")
+        if b.s >= 1.0:
+            warnings.append(f"s = {b.s:g} >= 1: LC tail bound diverges")
+    if kind is Growth.GC and b.norm_uhat >= radius:
+        warnings.append(f"||uhat||_inf = {b.norm_uhat:g} at or beyond the "
+                        f"discrete convergence radius {radius:g}")
+    if b.J > 0 and b.L / b.J < ratio_min:
         warnings.append(
-            f"L/J = {uhat.L / J:g} below {ratio_min:g}; the asymptotic bounds "
+            f"L/J = {b.L / b.J:g} below {ratio_min:g}; the asymptotic bounds "
             "assume many steps per truncation order"
         )
     return warnings

@@ -40,10 +40,10 @@ from .bounds import (
     BoundInputs,
     BoundReport,
     Divergent,
-    effective_alphabet,
+    bound_inputs,
     gc_bounds,
     lc_bounds,
-    regime_check,
+    regime_warnings,
 )
 from .operators import dt_fliess_trajectory, dt_fliess_truncated, fliess_truncated
 from .realization import (
@@ -62,7 +62,6 @@ from .signals import (
     SampledChannel,
     SinusoidChannel,
     discretize,
-    l1_norm,
 )
 
 REPORT_COLUMNS = (
@@ -348,13 +347,8 @@ def compute_bounds(cfg: ExperimentConfig) -> BoundReport:
 
 
 def _bounds(cfg: ExperimentConfig, uhat: DiscreteInput) -> tuple[BoundInputs, BoundReport]:
-    m_eff, letters = effective_alphabet(cfg.series)
     g = cfg.series.growth
-    b = BoundInputs(
-        K=g.K, M=g.M, m=m_eff, L=cfg.L, J=cfg.J,
-        norm_uhat=uhat.sup_norm(letters),
-        Rbar=max(l1_norm(cfg.input), cfg.input.T),
-    )
+    b = bound_inputs(cfg.series, cfg.input, uhat, cfg.J)
     try:
         if g.kind is Growth.LC:
             report = lc_bounds(b, cfg.bound_mode)
@@ -363,7 +357,7 @@ def _bounds(cfg: ExperimentConfig, uhat: DiscreteInput) -> tuple[BoundInputs, Bo
             report = gc_bounds(b)
     except Divergent as exc:
         raise _annotate(exc, "e_hat/e_tail columns")
-    warnings = tuple(regime_check(cfg.series, cfg.input, uhat, cfg.J))
+    warnings = tuple(regime_warnings(g.kind, b))
     return b, replace(report, regime_warnings=warnings)
 
 
@@ -605,11 +599,7 @@ def _continuous_curve(cfg: ExperimentConfig, times: np.ndarray) -> np.ndarray:
     order = cfg.J
     if cfg.series.polynomial is not None:
         order = max(cfg.series.polynomial.degree(), 0)
-    return np.array([
-        fliess_truncated(cfg.series, cfg.input, order, t=float(t)) if t > 0
-        else cfg.series.coefficient(())
-        for t in times
-    ])
+    return np.array([fliess_truncated(cfg.series, cfg.input, order, t=float(t)) for t in times])
 
 
 def emit_trajectory(cfg: ExperimentConfig, resolution: int = 200) -> list[list[str]]:

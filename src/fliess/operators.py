@@ -16,25 +16,21 @@ Conventions used throughout:
   with S of the empty word identically 1 (so S(0) is 1 for the empty word
   and 0 for every other word).
 
-Two independent routes exist for each side and are kept deliberately
-separate: iterated integrals come either from an adaptive Romberg scheme
-(any channel kind) or from an exact piecewise recursion (piecewise-constant
-channels only), and iterated sums come either from the cumulative recursion
-above or from an explicit enumeration of non-increasing index assignments.
-Tests compare the routes against each other; production code may pick
-whichever fits.
-
-Truncated evaluations (fliess_truncated, dt_fliess_truncated) return plain
-floats.  dt_fliess_trajectory evaluates a linear representation through its
-state recursion without enumerating words, so ``cap`` applies to polynomial
-and callback series only.
+There is one evaluation mechanism per side: a graded recursion over word
+layers, vectorized over time (_word_layers, _graded).  Sums step with the
+layer below at the same step; integrals use the panel rule on
+breakpoint-aligned grids under one Romberg driver (_romberg) that
+extrapolates whole output arrays.  iterated_integral_pc and
+iterated_sum_partition are per-word closed forms kept as test references.
+Representations enumerate no words and polynomials only their support
+words, so ``cap`` bounds callback series only.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -45,9 +41,7 @@ from .algebra import (
     DomainError,
     Polynomial,
     SeriesSpec,
-    Word,
     count_words_upto,
-    enumerate_words,
     enumerate_words_upto,
 )
 from .signals import (
@@ -62,35 +56,132 @@ from .signals import (
 
 
 # ---------------------------------------------------------------------------
+# the graded recursion over word layers
+# ---------------------------------------------------------------------------
+
+#: floats held by the widest array of one time block of the graded recursion
+_BLOCK_FLOATS = 1 << 16
+
+
+def _word_layers(c: SeriesSpec, J: int, cap: int = DEFAULT_WORD_CAP):
+    """The series up to length J as ``(start, weights, action, width)``:
+    V_0 = start, V_j grows row by row by ``action(rows)(j, V_{j-1})`` for a
+    block of letter-weight rows, the value is sum_j weights[j] . V_j, and
+    ``width`` (floats per row of the widest array) sizes the time blocks.
+
+    * Words: layer j is three arrays, each word's first letter, the index
+      of its suffix w[1:] in layer j-1 and its coefficient; the action is
+      rows[:, first] * V[:, parent].  A callback has all q**j words over its
+      evaluation letters, lexicographic (``cap`` bounds them); a polynomial
+      only its support words of length <= J and their suffixes.
+    * Representations: V_0 = gamma, every weight is lam and the action is
+      (sum_i A_i w_i) V over the evaluation letters.
+    """
+    if J < 0:
+        raise DomainError(f"truncation order must be >= 0, got {J}")
+    letters = c.evaluation_letters()
+    rep = c.representation
+    if rep is not None:
+        mask = np.zeros(c.alphabet.size)
+        mask[list(letters)] = 1.0
+
+        def matrix_action(rows):
+            B = rep.letter_sum(rows * mask)
+            return lambda j, v: np.einsum("kab,kb->ka", B, v)
+
+        return rep.gamma, [rep.lam] * (J + 1), matrix_action, rep.dim**2
+
+    if c.polynomial is None:
+        count_words_upto(len(letters), J, cap)
+        layers = [list(itertools.product(letters, repeat=j)) for j in range(J + 1)]
+    else:
+        kept = [w for w in c.polynomial.terms if len(w) <= J and set(w) <= set(letters)]
+        found = [{()}] + [set() for _ in range(max(map(len, kept), default=0))]
+        for w in kept:
+            for k in range(len(w)):
+                found[len(w) - k].add(w[k:])
+        layers = [sorted(layer) for layer in found]
+    weights = [np.array([c.coefficient(w) for w in layer], dtype=float) for layer in layers]
+    # each word's position in its layer; links[j] = (first letters, parents)
+    index = {w: k for layer in layers for k, w in enumerate(layer)}
+    links = [None] + [np.array([[w[0] for w in layer], [index[w[1:]] for w in layer]], dtype=int)
+                      for layer in layers[1:]]
+
+    def word_action(rows):
+        return lambda j, v: rows[:, links[j][0]] * v[:, links[j][1]]
+
+    return np.ones(1), weights, word_action, max(w.size for w in weights)
+
+
+def _graded(layers, rows: np.ndarray, panel: bool):
+    """Yield, per time block, the layer values [V_0, ..., V_J] at each of
+    its rows.  A block holds about _BLOCK_FLOATS floats in its widest array
+    and carries its last rows into the next.  The stencils:
+
+    * sums: V_j(N) = V_j(N-1) + act(uhat(N), V_{j-1}(N));
+    * panel rule, with rows w = (h, u_1(mid) h, ..., u_m(mid) h) for panels
+      [a, b] of width h: V_j(b) = V_j(a) + act(w, (V_{j-1}(a) + V_{j-1}(b))/2),
+      where a block's first V_{j-1}(a) is the carry of layer j-1.
+    """
+    start, weights, action, width = layers
+    block = max(1, _BLOCK_FLOATS // max(width, 1))
+    carry = [start] + [np.zeros_like(w) for w in weights[1:]]
+    for n0 in range(0, len(rows), block):
+        chunk = rows[n0:n0 + block]
+        act = action(chunk)
+        vs = [np.broadcast_to(start, (len(chunk), start.size))]
+        for j in range(1, len(weights)):
+            below = vs[-1]
+            if panel:
+                below = 0.5 * (np.concatenate((carry[j - 1][None], below[:-1])) + below)
+            steps = act(j, below)
+            steps[0] += carry[j]
+            vs.append(np.cumsum(steps, axis=0))
+        carry = [v[-1] for v in vs]
+        yield vs
+
+
+# ---------------------------------------------------------------------------
 # continuous side
 # ---------------------------------------------------------------------------
 
-def _refined_grid(edges: Sequence[float], splits: int) -> np.ndarray:
-    """Each panel of ``edges`` split into ``splits`` equal parts."""
-    parts = [np.linspace(a, b, splits + 1)[:-1] for a, b in zip(edges[:-1], edges[1:])]
-    return np.concatenate([*parts, [edges[-1]]])
-
-
-def _cumulative_levels(eta: Word, u: ContinuousInput, nodes: np.ndarray) -> float:
-    """One grid evaluation of E_eta[u] at nodes[-1].
-
-    Levels are built innermost-first.  Each panel contributes
-    u(midpoint) * (g_a + g_b)/2 * width, which is exact in u for
-    piecewise-constant channels on breakpoint-aligned grids and has a clean
-    even-power error expansion for smooth channels, so Romberg extrapolation
-    applies in both cases.
+def _romberg(layers, u: ContinuousInput, t: Optional[float], tol: float, read,
+             max_refinements: int = 12) -> np.ndarray:
+    """``read`` of the layer values at t by Romberg extrapolation of the
+    panel rule: the grid is aligned to every breakpoint in (0, t), with at
+    least 8 panels, and halved until every entry of consecutive diagonals
+    agrees to max(tol, 1e-14 |entry|), else QuadratureFailure.  The rule is
+    exact in u for piecewise-constant channels on such grids and has an
+    even-power error expansion for smooth ones.
     """
-    widths = np.diff(nodes)
-    mids = nodes[:-1] + 0.5 * widths
-    g = np.ones_like(nodes)
-    for letter in reversed(eta):
-        if letter == 0:
-            uvals = 1.0
-        else:
-            uvals = np.asarray(u.value(letter, mids), dtype=float)
-        panels = uvals * (0.5 * (g[:-1] + g[1:])) * widths
-        g = np.concatenate(([0.0], np.cumsum(panels)))
-    return float(g[-1])
+    t = u.T if t is None else t
+    if not 0.0 <= t <= u.T:
+        raise DomainError(f"evaluation time {t} outside [0, {u.T}]")
+    edges = [0.0, *(b for b in u.breakpoints() if b < t), t]
+    base_splits = 1
+    while (len(edges) - 1) * base_splits < 8:
+        base_splits *= 2
+    prev_row: list[np.ndarray] = []
+    for level in range(max_refinements + 1):
+        splits = base_splits << level
+        nodes = np.concatenate([*(np.linspace(a, b, splits + 1)[:-1]
+                                  for a, b in zip(edges[:-1], edges[1:])), [t]])
+        widths = np.diff(nodes)
+        mids = nodes[:-1] + 0.5 * widths
+        rows = np.column_stack([widths, *(u.value(i, mids) * widths for i in range(1, u.m + 1))])
+        for vs in _graded(layers, rows, panel=True):
+            pass
+        row = [np.asarray(read([v[-1] for v in vs]), dtype=float)]
+        for j, lower in enumerate(prev_row, start=1):
+            row.append(row[j - 1] + (row[j - 1] - lower) / (4.0**j - 1.0))
+        change = np.abs(row[-1] - prev_row[-1]) if prev_row else np.inf
+        if np.all(change <= np.maximum(tol, 1e-14 * np.abs(row[-1]))):
+            return row[-1]
+        prev_row = row
+    raise QuadratureFailure(
+        f"Romberg extrapolation at t={t:g} did not reach tol={tol:g} after "
+        f"{max_refinements} refinements (largest last change {np.max(change)!r})"
+    )
 
 
 def iterated_integral(
@@ -100,41 +191,11 @@ def iterated_integral(
     tol: float = 1e-10,
     max_refinements: int = 12,
 ) -> float:
-    """E_eta[u](t) by Romberg extrapolation of the cumulative panel rule.
-
-    The base grid is aligned to every channel breakpoint in (0, t) and then
-    refined by halving all panels until consecutive Romberg diagonal entries
-    agree to ``tol``.  Raises QuadratureFailure if the budget runs out.
-    """
-    eta = Alphabet(u.m).check_word(eta)
-    if t is None:
-        t = u.T
-    if not 0.0 <= t <= u.T:
-        raise DomainError(f"evaluation time {t} outside [0, {u.T}]")
-    if not eta:
-        return 1.0
-    if t == 0.0:
-        return 0.0
-
-    edges = [0.0, *(b for b in u.breakpoints() if b < t), t]
-    # start fine enough that the extrapolation table has something to work with
-    base_splits = 1
-    while (len(edges) - 1) * base_splits < 8:
-        base_splits *= 2
-
-    prev_row: list[float] = []
-    for level in range(max_refinements + 1):
-        nodes = _refined_grid(edges, base_splits * (1 << level))
-        row = [_cumulative_levels(eta, u, nodes)]
-        for j, lower in enumerate(prev_row, start=1):
-            row.append(row[j - 1] + (row[j - 1] - lower) / (4.0**j - 1.0))
-        if prev_row and abs(row[-1] - prev_row[-1]) <= max(tol, 1e-14 * abs(row[-1])):
-            return row[-1]
-        prev_row = row
-    raise QuadratureFailure(
-        f"E_{eta}[u]({t:g}) did not reach tol={tol:g} after "
-        f"{max_refinements} refinements (last diagonal {prev_row[-1]!r})"
-    )
+    """E_eta[u](t) as the series with the one word eta (see _romberg)."""
+    c = SeriesSpec(Alphabet(u.m), polynomial=Polynomial.monomial(eta))
+    # eta is the only word of the top layer
+    return float(_romberg(_word_layers(c, c.polynomial.degree()), u, t, tol,
+                          lambda ends: ends[-1][0], max_refinements))
 
 
 def _piecewise_constant(ch: Channel) -> bool:
@@ -156,8 +217,7 @@ def iterated_integral_pc(
     the new piece and a shorter suffix from the old boundary.
     """
     eta = Alphabet(u.m).check_word(eta)
-    if t is None:
-        t = u.T
+    t = u.T if t is None else t
     if not 0.0 <= t <= u.T:
         raise DomainError(f"evaluation time {t} outside [0, {u.T}]")
     for i in range(1, u.m + 1):
@@ -189,14 +249,6 @@ def iterated_integral_pc(
     return suffix[0]
 
 
-def _integrator(u: ContinuousInput, t: Optional[float], tol: float) -> Callable[[Word], float]:
-    """E_w[u](t) as a function of the word: exact for piecewise-constant
-    inputs, Romberg otherwise."""
-    if all(_piecewise_constant(u.channel(i)) for i in range(1, u.m + 1)):
-        return lambda w: iterated_integral_pc(w, u, t)
-    return lambda w: iterated_integral(w, u, t, tol=tol)
-
-
 def chen_truncation(
     u: ContinuousInput,
     J: int,
@@ -212,10 +264,9 @@ def chen_truncation(
     chen_truncation(v).cat_product(chen_truncation(u)) up to order J —
     the later segment contributes the outer (prefix) letters.
     """
-    if J < 0:
-        raise DomainError(f"truncation order must be >= 0, got {J}")
-    evaluate = _integrator(u, t, tol)
-    return Polynomial({w: evaluate(w) for w in enumerate_words_upto(range(u.m + 1), J, cap=cap)})
+    words = enumerate_words_upto(range(u.m + 1), J, cap=cap)
+    layers = _word_layers(SeriesSpec(Alphabet(u.m), callback=lambda w: 1.0), J, cap)
+    return Polynomial(dict(zip(words, _romberg(layers, u, t, tol, np.concatenate))))
 
 
 def fliess_truncated(
@@ -228,17 +279,11 @@ def fliess_truncated(
 ) -> float:
     """Truncated continuous-time series functional
     sum_{|eta| <= J} (c, eta) E_eta[u](t)."""
-    if J < 0:
-        raise DomainError(f"truncation order must be >= 0, got {J}")
     if c.alphabet.m != u.m:
         raise DomainError(f"series has m={c.alphabet.m} but input has m={u.m}")
-    evaluate = _integrator(u, t, tol)
-    total = 0.0
-    for w in enumerate_words_upto(c.evaluation_letters(), J, cap=cap):
-        coeff = c.coefficient(w)
-        if coeff != 0.0:
-            total += coeff * evaluate(w)
-    return total
+    layers = _word_layers(c, J, cap)
+    return float(_romberg(layers, u, t, tol,
+                          lambda ends: math.fsum(v @ w for v, w in zip(ends, layers[1]))))
 
 
 # ---------------------------------------------------------------------------
@@ -298,72 +343,22 @@ def iterated_sum_partition(
     return total
 
 
-#: floats held by the widest array of one time block of the graded recursion
-_BLOCK_FLOATS = 1 << 16
-
-
-def _dt_layers(c: SeriesSpec, J: int, cap: int) -> list[np.ndarray]:
-    """Per-length coefficient arrays over the series' evaluation letters,
-    word-major in lexicographic order (so layer j has length q**j)."""
-    letters = c.evaluation_letters()
-    count_words_upto(len(letters), J, cap)
-    return [np.array([c.coefficient(w) for w in enumerate_words(letters, j, cap=cap)],
-                     dtype=float)
-            for j in range(J + 1)]
-
-
 def dt_fliess_trajectory(
     c: SeriesSpec, uhat: DiscreteInput, J: int, cap: int = DEFAULT_WORD_CAP
 ) -> np.ndarray:
     """Truncated discrete-time series functional at every step:
-    entry N is sum_{|eta| <= J} (c, eta) S_eta[uhat](N) for N = 0..L.
-
-    One graded recursion serves every series source: layer j advances by
-    V_j(N) = V_j(N-1) + act(uhat(N), V_{j-1}(N)) and the output is
-    sum_j w_j . V_j(N).  Steps go in blocks, each layer one cumulative sum
-    over a block, sized so the widest array holds about _BLOCK_FLOATS floats.
-
-    * Polynomial and callback series: V_j holds S_w for the q**j words of
-      length j over the evaluation letters, V_0 = 1, act is uhat_letters (x) V
-      and w_j are the word coefficients.  Only these enumerate words, so
-      ``cap`` bounds only them.
-    * Representations: V_j = sum_{|w|=j} A_w gamma S_w, V_0 = gamma, act is
-      (sum_i A_i uhat_i) V over the evaluation letters, and w_j = lam.
-    """
-    if J < 0:
-        raise DomainError(f"truncation order must be >= 0, got {J}")
+    entry N is sum_{|eta| <= J} (c, eta) S_eta[uhat](N) for N = 0..L, from
+    the graded recursion with the sum stencil (see _word_layers, _graded);
+    each step's layer values are summed by math.fsum."""
     if c.alphabet.m != uhat.m:
         raise DomainError(f"series has m={c.alphabet.m} but input has m={uhat.m}")
-    letters = list(c.evaluation_letters())
-    rep = c.representation
-    if rep is None:
-        start, weights, width = np.ones(1), _dt_layers(c, J, cap), len(letters) ** J
-    else:
-        mask = np.zeros(uhat.m + 1)
-        mask[letters] = 1.0
-        start, weights, width = rep.gamma, [rep.lam] * (J + 1), rep.dim**2
-    block = max(1, _BLOCK_FLOATS // max(width, 1))
-    carry = [np.zeros_like(w) for w in weights]
-    out = np.empty(uhat.L + 1)
-    out[0] = weights[0] @ start
-    for n0 in range(0, uhat.L, block):
-        rows = uhat.values[n0:n0 + block]
-        if rep is None:
-            sel = rows[:, letters]
-            act = lambda v: (sel[:, :, None] * v[:, None, :]).reshape(len(rows), -1)
-        else:
-            B = rep.letter_sum(rows * mask)
-            act = lambda v: np.einsum("kab,kb->ka", B, v)
-        v = np.broadcast_to(start, (len(rows), start.size))
-        dots = [np.full(len(rows), out[0])]
-        for j in range(1, J + 1):
-            steps = act(v)
-            steps[0] += carry[j]
-            v = np.cumsum(steps, axis=0)
-            carry[j] = v[-1]
-            dots.append(v @ weights[j])
-        out[n0 + 1:n0 + 1 + len(rows)] = [math.fsum(d) for d in np.column_stack(dots).tolist()]
-    return out
+    layers = _word_layers(c, J, cap)
+    start, weights = layers[0], layers[1]
+    out = [weights[0] @ start]
+    for vs in _graded(layers, uhat.values, panel=False):
+        dots = [np.full(len(vs[0]), out[0])] + [v @ w for v, w in zip(vs[1:], weights[1:])]
+        out.extend(math.fsum(d) for d in np.column_stack(dots).tolist())
+    return np.array(out, dtype=float)
 
 
 def dt_fliess_truncated(

@@ -119,7 +119,7 @@ def _check_norms(sys: StateAffineSystem, B: np.ndarray, first_step: Optional[int
     if sys.invertibility_policy != "strict_norm":
         return
     norms = np.abs(B).sum(axis=-1).max(axis=-1, initial=0.0).reshape(-1)
-    bad = np.flatnonzero(norms >= sys.norm_threshold)
+    bad = np.flatnonzero(~(norms < sys.norm_threshold))  # a NaN norm fails too
     if bad.size:
         k = int(bad[0])
         raise _step_error(
@@ -140,7 +140,7 @@ def _solve(sys: StateAffineSystem, matrix: np.ndarray, z: np.ndarray, step: Opti
     if sys.invertibility_policy == "solve_with_residual":
         residual = float(np.max(np.abs(matrix @ z_next - z), initial=0.0))
         scale = float(np.max(np.abs(z), initial=0.0))
-        if residual > 1e-10 * max(scale, 1e-300):
+        if not residual <= 1e-10 * max(scale, 1e-300):  # a NaN residual fails too
             raise _step_error(
                 SingularTransition,
                 f"resolvent solve residual {residual:g} too large (state norm {scale:g})",

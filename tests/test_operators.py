@@ -18,6 +18,7 @@ from fliess.algebra import (
     enumerate_words_upto,
     shuffle,
 )
+import fliess.operators as operators
 from fliess.operators import (
     _BLOCK_FLOATS,
     chen_truncation,
@@ -33,6 +34,7 @@ from fliess.operators import (
 from fliess.signals import (
     ContinuousInput,
     QuadratureFailure,
+    SampledChannel,
     SinusoidChannel,
     catenate,
     constant_input,
@@ -332,3 +334,123 @@ def test_fliess_truncated_callback_series():
     u = ContinuousInput([], 1.0)
     res = fliess_truncated(c, u, J=12)
     assert res == pytest.approx(math.e, abs=1e-9)
+
+
+def test_polynomial_evaluates_only_its_support_words():
+    # all words of length <= 25 over three letters would exceed the cap; the
+    # support words and their suffixes are three
+    c = SeriesSpec(Alphabet(2), polynomial=Polynomial({(1, 2): 1.0, (): 1.0}))
+    u = ContinuousInput([SinusoidChannel(1.0, 3.0), SinusoidChannel(0.5, 7.0)], 1.0)
+    uhat = discretize(u, 40)
+    assert fliess_truncated(c, u, 25) == fliess_truncated(c, u, 2)
+    assert dt_fliess_truncated(c, uhat, 25) == dt_fliess_truncated(c, uhat, 2)
+
+
+# ---------------------------------------------------------------------------
+# layered Romberg route against the per-word route it replaced
+# ---------------------------------------------------------------------------
+
+def _per_word_romberg(eta, u, t, tol=1e-12, max_refinements=14):
+    """E_eta[u](t) by one Romberg run per word: the cumulative panel rule,
+    innermost letter first, on breakpoint-aligned grids, extrapolated until
+    consecutive diagonal entries agree."""
+    if not eta:
+        return 1.0
+    edges = [0.0, *(b for b in u.breakpoints() if b < t), t]
+    base_splits = 1
+    while (len(edges) - 1) * base_splits < 8:
+        base_splits *= 2
+    prev_row = []
+    for level in range(max_refinements + 1):
+        splits = base_splits << level
+        nodes = np.concatenate([*(np.linspace(a, b, splits + 1)[:-1]
+                                  for a, b in zip(edges[:-1], edges[1:])), [t]])
+        widths = np.diff(nodes)
+        mids = nodes[:-1] + 0.5 * widths
+        g = np.ones_like(nodes)
+        for letter in reversed(eta):
+            uvals = 1.0 if letter == 0 else np.asarray(u.value(letter, mids), dtype=float)
+            g = np.concatenate(([0.0], np.cumsum(uvals * (0.5 * (g[:-1] + g[1:])) * widths)))
+        row = [float(g[-1])]
+        for j, lower in enumerate(prev_row, start=1):
+            row.append(row[j - 1] + (row[j - 1] - lower) / (4.0**j - 1.0))
+        if prev_row and abs(row[-1] - prev_row[-1]) <= max(tol, 1e-14 * abs(row[-1])):
+            return row[-1]
+        prev_row = row
+    raise AssertionError(f"per-word Romberg did not converge on {eta}")
+
+
+def _oracle_input(kind, rng):
+    T = 0.8
+    smooth = ContinuousInput(
+        [SinusoidChannel(0.8, 6.0, 0.3),
+         SampledChannel(np.linspace(0.0, T, 7), rng.uniform(-1.0, 1.0, 7))], T)
+    pc = random_pc_input(rng, m=2, T=T)
+    return {"smooth": smooth, "piecewise_constant": pc,
+            "catenated": catenate(smooth, pc, 0.35)}[kind]
+
+
+def _oracle_series(rng):
+    yield random_polynomial_series(rng, m=2, max_len=4, n_terms=8)
+    def wave(w):
+        return math.sin(1.0 + sum((k + 1) * (l + 1) for k, l in enumerate(w)))
+
+    yield SeriesSpec(Alphabet(2), callback=wave)
+    yield SeriesSpec(Alphabet(2), callback=wave, support_letters={0, 2})
+    n = 3
+    mats = [rng.uniform(-1.0, 1.0, size=(n, n)) for _ in range(3)]
+    rep = LinearRepresentation(mats, rng.uniform(-1, 1, n), rng.uniform(-1, 1, n))
+    yield SeriesSpec(Alphabet(2), representation=rep)
+
+
+@pytest.mark.parametrize("kind", ["smooth", "piecewise_constant", "catenated"])
+def test_layered_romberg_matches_per_word_romberg(kind, rng):
+    u = _oracle_input(kind, rng)
+    J = 4
+    cache = {}
+
+    def oracle(w, t):
+        if (w, t) not in cache:
+            cache[w, t] = _per_word_romberg(w, u, t)
+        return cache[w, t]
+
+    for t in (u.T, 0.6 * u.T):
+        for c in _oracle_series(rng):
+            words = enumerate_words_upto(c.evaluation_letters(), J)
+            expected = math.fsum(c.coefficient(w) * oracle(w, t) for w in words)
+            assert fliess_truncated(c, u, J, t=t) == pytest.approx(expected, abs=1e-9)
+        chen = chen_truncation(u, 3, t=t)
+        for w in enumerate_words_upto(Alphabet(2), 3):
+            assert chen.coefficient(w) == pytest.approx(oracle(w, t), abs=1e-9)
+        for w in [(), (2,), (1, 0), (2, 1, 2), (0, 1, 2, 1)]:
+            assert iterated_integral(w, u, t=t) == pytest.approx(oracle(w, t), abs=1e-9)
+
+
+def test_chen_truncation_memory_stays_flat(monkeypatch):
+    # at omega = 1000 Romberg runs to level 11, 16384 panels; the top layer
+    # of 3**6 words over the whole grid would take about 95 MB at once
+    panels = []
+    graded = operators._graded
+
+    def counting(layers, rows, panel):
+        panels.append(len(rows))
+        return graded(layers, rows, panel)
+
+    monkeypatch.setattr(operators, "_graded", counting)
+    u = ContinuousInput([SinusoidChannel(1.0, 1000.0), SinusoidChannel(1.0, 700.0)], 1.0)
+    tracemalloc.start()
+    try:
+        p = chen_truncation(u, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(panels) > 11 and max(panels) >= 16384
+    # words up to length 6 through the carries of every time block
+    e1, e2 = p.coefficient((1,)), p.coefficient((2,))
+    assert e1 == pytest.approx((1.0 - math.cos(1000.0)) / 1000.0, abs=1e-12)
+    assert p.coefficient((1, 2)) + p.coefficient((2, 1)) == pytest.approx(e1 * e2, abs=1e-12)
+    # E_1 E_00 = E_100 + E_010 + E_001, with E_00(1) = 1/2
+    assert sum(p.coefficient(w) for w in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]) == pytest.approx(
+        e1 / 2, abs=1e-12)
+    assert p.coefficient((0,) * 6) == pytest.approx(1.0 / 720.0, abs=1e-12)
+    assert peak < 16 * 2**20

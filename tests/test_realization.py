@@ -204,6 +204,23 @@ def test_singular_step_reported_by_simulate_forward():
     assert str(exc.value).startswith(f"step {N}: ")
 
 
+@pytest.mark.parametrize("policy, error", [("strict_norm", PolicyViolation),
+                                           ("solve_with_residual", SingularTransition)])
+def test_nan_increment_fails_both_policies(policy, error):
+    # a NaN norm or residual compares false against its threshold, so each
+    # test must be written to fail on it
+    values = np.column_stack([np.full(5, 0.01), np.full(5, 0.01)])
+    values[1, 1] = np.nan
+    uhat = DiscreteInput(m=1, L=5, delta=0.01, values=values)
+    sys = StateAffineSystem(geometric_rep(), invertibility_policy=policy)
+    with pytest.raises(error) as exc:
+        simulate_forward(sys, uhat)
+    assert exc.value.step == 2
+    assert str(exc.value).startswith("step 2: ")
+    with pytest.raises(error):
+        forward_step(sys, np.ones(1), values[1])
+
+
 @pytest.mark.parametrize("n, L_blocks", [(1, 1.5), (3, 2.2), (8, 3.4)])
 def test_simulate_matches_step_loops(rng, n, L_blocks):
     # oracle: the public one-step maps, applied one step at a time
