@@ -361,6 +361,14 @@ def _bounds(cfg: ExperimentConfig, uhat: DiscreteInput) -> tuple[BoundInputs, Bo
     return b, replace(report, regime_warnings=warnings)
 
 
+def _series_order(cfg: ExperimentConfig) -> int:
+    """Truncation order of the continuous output of a polynomial or callback
+    series: a polynomial's degree, where the truncation is exact, else J."""
+    if cfg.series.polynomial is not None:
+        return max(cfg.series.polynomial.degree(), 0)
+    return cfg.J
+
+
 def _reference_output(cfg: ExperimentConfig) -> tuple[float, str, list[str]]:
     """y(T) plus a note of which route produced it."""
     if cfg.analytic_output is not None:
@@ -368,11 +376,11 @@ def _reference_output(cfg: ExperimentConfig) -> tuple[float, str, list[str]]:
     if cfg.series.representation is not None:
         _, outputs = ct_bilinear_simulate(cfg.series.representation, cfg.input)
         return float(outputs[-1]), "rk4", []
+    order = _series_order(cfg)
     if cfg.series.polynomial is not None:
-        degree = max(cfg.series.polynomial.degree(), 0)
-        return fliess_truncated(cfg.series, cfg.input, degree), f"finite@{degree}", []
-    warning = f"y column: no exact route for a callback series; truncated at J={cfg.J}"
-    return fliess_truncated(cfg.series, cfg.input, cfg.J), f"truncated@{cfg.J}", [warning]
+        return fliess_truncated(cfg.series, cfg.input, order), f"finite@{order}", []
+    warning = f"y column: no exact route for a callback series; truncated at J={order}"
+    return fliess_truncated(cfg.series, cfg.input, order), f"truncated@{order}", [warning]
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -596,10 +604,7 @@ def _continuous_curve(cfg: ExperimentConfig, times: np.ndarray) -> np.ndarray:
         steps = max(4 * (times.size - 1), 4 * cfg.L, 2000)
         grid, outputs = ct_bilinear_simulate(cfg.series.representation, cfg.input, steps=steps)
         return np.interp(times, grid, outputs)
-    order = cfg.J
-    if cfg.series.polynomial is not None:
-        order = max(cfg.series.polynomial.degree(), 0)
-    return np.array([fliess_truncated(cfg.series, cfg.input, order, t=float(t)) for t in times])
+    return fliess_truncated(cfg.series, cfg.input, _series_order(cfg), t=times)
 
 
 def emit_trajectory(cfg: ExperimentConfig, resolution: int = 200) -> list[list[str]]:

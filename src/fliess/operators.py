@@ -18,9 +18,11 @@ Conventions used throughout:
 
 There is one evaluation mechanism per side: a graded recursion over word
 layers, vectorized over time (_word_layers, _graded).  Sums step with the
-layer below at the same step; integrals use the panel rule on
-breakpoint-aligned grids under one Romberg driver (_romberg) that
-extrapolates whole output arrays.  iterated_integral_pc and
+layer below at the same step; integrals use the panel rule under one
+Romberg driver (_romberg) that extrapolates whole output arrays.  One
+Romberg sweep serves every sample time: its grids are aligned to the
+breakpoints and to all sample times, so a whole trajectory costs one run of
+the recursion per level.  iterated_integral_pc and
 iterated_sum_partition are per-word closed forms kept as test references.
 Representations enumerate no words and polynomials only their support
 words, so ``cap`` bounds callback series only.
@@ -145,42 +147,59 @@ def _graded(layers, rows: np.ndarray, panel: bool):
 # continuous side
 # ---------------------------------------------------------------------------
 
-def _romberg(layers, u: ContinuousInput, t: Optional[float], tol: float, read,
-             max_refinements: int = 12) -> np.ndarray:
-    """``read`` of the layer values at t by Romberg extrapolation of the
-    panel rule: the grid is aligned to every breakpoint in (0, t), with at
-    least 8 panels, and halved until every entry of consecutive diagonals
-    agrees to max(tol, 1e-14 |entry|), else QuadratureFailure.  The rule is
-    exact in u for piecewise-constant channels on such grids and has an
-    even-power error expansion for smooth ones.
+def _romberg(layers, u: ContinuousInput, times: Optional[float | np.ndarray], tol: float,
+             read, max_refinements: int = 12) -> np.ndarray:
+    """``read`` of the layer values at each sample time (default T), one
+    entry per time, by Romberg extrapolation of the panel rule in one sweep
+    for all samples: every level's grid is aligned to 0, to every breakpoint
+    below the latest sample and to every sample time, with at least 8
+    panels, and runs the graded recursion once; a sample at 0 reads
+    [V_0, 0, ...].  The grid is halved until every entry of consecutive
+    diagonals agrees to max(tol, 1e-14 |entry|) at every sample, else
+    QuadratureFailure names the sample with the largest last change.  The
+    rule is exact in u for piecewise-constant channels on such grids and has
+    an even-power error expansion for smooth ones.
     """
-    t = u.T if t is None else t
-    if not 0.0 <= t <= u.T:
-        raise DomainError(f"evaluation time {t} outside [0, {u.T}]")
-    edges = [0.0, *(b for b in u.breakpoints() if b < t), t]
+    times = np.atleast_1d(np.asarray(u.T if times is None else times, dtype=float))
+    outside = times[~((times >= 0.0) & (times <= u.T))]
+    if outside.size:
+        raise DomainError(f"evaluation time {outside[0]} outside [0, {u.T}]")
+    edges = np.unique(np.concatenate(([0.0], [b for b in u.breakpoints() if b < times.max()],
+                                      times)))
     base_splits = 1
-    while (len(edges) - 1) * base_splits < 8:
+    while 0 < (len(edges) - 1) * base_splits < 8:
         base_splits *= 2
+    # each sample's edge, and its layer values at t = 0
+    slot = np.searchsorted(edges, times)
+    origin = [layers[0]] + [np.zeros_like(w) for w in layers[1][1:]]
     prev_row: list[np.ndarray] = []
     for level in range(max_refinements + 1):
         splits = base_splits << level
-        nodes = np.concatenate([*(np.linspace(a, b, splits + 1)[:-1]
-                                  for a, b in zip(edges[:-1], edges[1:])), [t]])
+        # np.linspace(a, b, splits + 1)[:-1] per segment, in the same arithmetic
+        panels = edges[:-1, None] + np.arange(splits) * (np.diff(edges) / splits)[:, None]
+        nodes = np.append(panels.ravel(), edges[-1])
         widths = np.diff(nodes)
         mids = nodes[:-1] + 0.5 * widths
         rows = np.column_stack([widths, *(u.value(i, mids) * widths for i in range(1, u.m + 1))])
+        # each sample's panel row: its node minus one, so -1 at t = 0
+        at = slot * splits - 1
+        ends = [origin if k < 0 else None for k in at]
+        n0 = 0
         for vs in _graded(layers, rows, panel=True):
-            pass
-        row = [np.asarray(read([v[-1] for v in vs]), dtype=float)]
+            for s in np.flatnonzero((at >= n0) & (at < n0 + len(vs[0]))):
+                ends[s] = [v[at[s] - n0] for v in vs]
+            n0 += len(vs[0])
+        row = [np.array([read(e) for e in ends], dtype=float)]
         for j, lower in enumerate(prev_row, start=1):
             row.append(row[j - 1] + (row[j - 1] - lower) / (4.0**j - 1.0))
-        change = np.abs(row[-1] - prev_row[-1]) if prev_row else np.inf
+        change = np.abs(row[-1] - prev_row[-1]) if prev_row else np.full(row[0].shape, np.inf)
         if np.all(change <= np.maximum(tol, 1e-14 * np.abs(row[-1]))):
             return row[-1]
         prev_row = row
+    worst = np.max(change.reshape(len(times), -1), axis=1)
     raise QuadratureFailure(
-        f"Romberg extrapolation at t={t:g} did not reach tol={tol:g} after "
-        f"{max_refinements} refinements (largest last change {np.max(change)!r})"
+        f"Romberg extrapolation at t={times[np.argmax(worst)]:g} did not reach tol={tol:g} "
+        f"after {max_refinements} refinements (largest last change {float(np.max(worst))!r})"
     )
 
 
@@ -195,7 +214,7 @@ def iterated_integral(
     c = SeriesSpec(Alphabet(u.m), polynomial=Polynomial.monomial(eta))
     # eta is the only word of the top layer
     return float(_romberg(_word_layers(c, c.polynomial.degree()), u, t, tol,
-                          lambda ends: ends[-1][0], max_refinements))
+                          lambda ends: ends[-1][0], max_refinements)[0])
 
 
 def _piecewise_constant(ch: Channel) -> bool:
@@ -266,24 +285,26 @@ def chen_truncation(
     """
     words = enumerate_words_upto(range(u.m + 1), J, cap=cap)
     layers = _word_layers(SeriesSpec(Alphabet(u.m), callback=lambda w: 1.0), J, cap)
-    return Polynomial(dict(zip(words, _romberg(layers, u, t, tol, np.concatenate))))
+    return Polynomial(dict(zip(words, _romberg(layers, u, t, tol, np.concatenate)[0])))
 
 
 def fliess_truncated(
     c: SeriesSpec,
     u: ContinuousInput,
     J: int,
-    t: Optional[float] = None,
+    t: Optional[float | np.ndarray] = None,
     tol: float = 1e-10,
     cap: int = DEFAULT_WORD_CAP,
-) -> float:
+) -> float | np.ndarray:
     """Truncated continuous-time series functional
-    sum_{|eta| <= J} (c, eta) E_eta[u](t)."""
+    sum_{|eta| <= J} (c, eta) E_eta[u](t): a float at one time t (default
+    T), or one value per time for a 1-d array t, from one Romberg sweep."""
     if c.alphabet.m != u.m:
         raise DomainError(f"series has m={c.alphabet.m} but input has m={u.m}")
     layers = _word_layers(c, J, cap)
-    return float(_romberg(layers, u, t, tol,
-                          lambda ends: math.fsum(v @ w for v, w in zip(ends, layers[1]))))
+    values = _romberg(layers, u, t, tol,
+                      lambda ends: math.fsum(v @ w for v, w in zip(ends, layers[1])))
+    return values if np.ndim(t) else float(values[0])
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,13 @@ emission, and the command-line surface."""
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fliess.harness as harness
+import fliess.operators as operators
 from fliess import cli
 from fliess.algebra import (
     Alphabet,
@@ -22,6 +25,7 @@ from fliess.harness import (
     ExperimentConfig,
     compare_row,
     emit_trajectory,
+    format_float,
     gc_geometric,
     lc_factorial,
     load_config,
@@ -32,12 +36,19 @@ from fliess.harness import (
     table_configs,
     write_csv,
 )
+from fliess.operators import fliess_truncated, iterated_integral_pc
 from fliess.signals import (
+    ConstantChannel,
     ContinuousInput,
+    PiecewiseConstantChannel,
+    SampledChannel,
+    SinusoidChannel,
     constant_input,
     discretize,
 )
 
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 BASE_DOC = {
     "system": {"builtin": "lc_factorial"},
@@ -316,6 +327,66 @@ def test_emit_trajectory_realization_column():
         N = int(r[2])
         bound = dt_tail_bound(GrowthClass(Growth.GC, 1.0, 1.0), 0, 0.1, N, 8)
         assert abs(float(r[3]) - float(r[4])) <= bound + 1e-5
+
+
+def _record_curve_times(monkeypatch) -> list:
+    """Route the harness's fliess_truncated calls through a wrapper; the
+    returned list collects the times of each call."""
+    seen = []
+    original = harness.fliess_truncated
+
+    def recording(c, u, J, t=None, **kwargs):
+        seen.append(t)
+        return original(c, u, J, t=t, **kwargs)
+
+    monkeypatch.setattr(harness, "fliess_truncated", recording)
+    return seen
+
+
+@pytest.mark.parametrize("system", ["polynomial", "callback"])
+@pytest.mark.parametrize("channels", ["smooth", "piecewise_constant"])
+def test_trajectory_curve_is_one_sweep_matching_the_report(system, channels, monkeypatch):
+    T = 0.25
+    if channels == "smooth":
+        chans = [SinusoidChannel(0.8, 9.0),
+                 SampledChannel(np.linspace(0.0, T, 5), [0.3, -0.6, 0.9, 0.1, -0.4])]
+    else:
+        chans = [ConstantChannel(-0.7), PiecewiseConstantChannel([0.06, 0.19], [1.0, -0.5, 0.25])]
+    if system == "polynomial":
+        terms = {(): 1.0, (1,): 0.5, (1, 2): -1.0, (2, 0, 1): 2.0}
+        series = SeriesSpec(Alphabet(2), polynomial=Polynomial(terms),
+                            growth=GrowthClass(Growth.LC, 2.0, 1.0))
+        order = 3  # the degree: the exact route
+    else:
+        series = SeriesSpec(Alphabet(2), callback=lambda w: 1.0 / (1 + len(w)),
+                            growth=GrowthClass(Growth.LC, 1.0, 1.0))
+        order = 4  # J
+    cfg = ExperimentConfig(series=series, input=ContinuousInput(chans, T), L=12, J=4)
+    layer_calls = []
+    word_layers = operators._word_layers
+    monkeypatch.setattr(operators, "_word_layers",
+                        lambda *args: layer_calls.append(args) or word_layers(*args))
+    curve_times = _record_curve_times(monkeypatch)
+    rows = emit_trajectory(cfg, resolution=17)[1:]
+    # one set of word layers for the y_hat column and one for the whole curve
+    assert len(layer_calls) == 2
+    (times,) = curve_times
+    assert len(times) == len(rows)
+    per_sample = [format_float(fliess_truncated(series, cfg.input, order, t=float(t)))
+                  for t in times]
+    assert [row[1] for row in rows] == per_sample
+    assert rows[-1][1] == format_float(run_experiment(cfg).y)
+
+
+def test_sparse_polynomial_config_trajectory_is_exact(monkeypatch):
+    cfg = load_config(str(CONFIGS / "sparse_polynomial.json"))
+    curve_times = _record_curve_times(monkeypatch)
+    rows = emit_trajectory(cfg, resolution=7)[1:]
+    (times,) = curve_times
+    for t, row in zip(times, rows, strict=True):
+        exact = math.fsum(c * iterated_integral_pc(w, cfg.input, t=float(t))
+                          for w, c in cfg.series.polynomial)
+        assert row[1] == format_float(exact)
 
 
 def test_write_csv_uses_plain_newlines():

@@ -32,6 +32,7 @@ from fliess.operators import (
     iterated_sum_trajectory,
 )
 from fliess.signals import (
+    CatenatedChannel,
     ContinuousInput,
     QuadratureFailure,
     SampledChannel,
@@ -100,6 +101,29 @@ def test_quadrature_failure_when_refinements_exhausted():
     u = ContinuousInput([SinusoidChannel(1.0, 500.0)], 1.0)
     with pytest.raises(QuadratureFailure):
         iterated_integral((1, 1), u, tol=1e-14, max_refinements=1)
+
+
+def test_many_times_domain_error_names_the_time():
+    u = constant_input([1.0, 0.5], 0.5)
+    c = SeriesSpec(Alphabet(2), polynomial=Polynomial({(1, 2): 1.0}))
+    with pytest.raises(DomainError, match=r"evaluation time 0\.7 outside \[0, 0\.5\]") as exc:
+        fliess_truncated(c, u, 2, t=np.array([0.1, 0.7, 0.3]))
+    assert "0.1" not in str(exc.value) and "0.3" not in str(exc.value)
+
+
+def test_quadrature_failure_names_the_worst_sample():
+    # the second half replays the first with the opposite sign on the same
+    # panels, so the panel-rule errors of E_1 cancel at T and peak at 0.5
+    u = ContinuousInput([CatenatedChannel(SinusoidChannel(1.0, 500.0),
+                                          SinusoidChannel(1.0, 500.0, math.pi), 0.5)], 1.0)
+    layers = operators._word_layers(SeriesSpec(Alphabet(1), polynomial=Polynomial({(1,): 1.0})), 1)
+    with pytest.raises(QuadratureFailure, match=r"at t=0\.5 did not reach"):
+        operators._romberg(layers, u, np.array([0.0, 0.5, 1.0]), 1e-10,
+                           lambda ends: ends[-1][0], max_refinements=1)
+    # the sample at T alone converges within the same two levels
+    at_T = operators._romberg(layers, u, np.array([1.0]), 1e-10, lambda ends: ends[-1][0],
+                              max_refinements=1)
+    assert at_T[0] == pytest.approx(0.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +448,15 @@ def test_layered_romberg_matches_per_word_romberg(kind, rng):
             assert chen.coefficient(w) == pytest.approx(oracle(w, t), abs=1e-9)
         for w in [(), (2,), (1, 0), (2, 1, 2), (0, 1, 2, 1)]:
             assert iterated_integral(w, u, t=t) == pytest.approx(oracle(w, t), abs=1e-9)
+    # one sweep for many times, unsorted, against one scalar call per time
+    T = u.T
+    times = np.array([0.61 * T, 0.0, T, u.breakpoints()[0], 0.61 * T + 2e-12 * T, 0.37 * T])
+    for c in _oracle_series(rng):
+        values = fliess_truncated(c, u, J, t=times)
+        assert values.shape == times.shape
+        for ti, value in zip(times, values):
+            assert value == pytest.approx(fliess_truncated(c, u, J, t=ti),
+                                          rel=0, abs=1e-12 * max(1.0, abs(value)))
 
 
 def test_chen_truncation_memory_stays_flat(monkeypatch):
