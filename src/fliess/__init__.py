@@ -31,7 +31,6 @@ from .bounds import (
     gc_simplified,
     lc_bounds,
     lc_simplified,
-    regime_check,
     seta_bound,
     single_integral_error_bound,
 )
@@ -52,9 +51,7 @@ from .operators import (
     dt_fliess_truncated,
     fliess_truncated,
     iterated_integral,
-    iterated_integral_pc,
     iterated_sum,
-    iterated_sum_partition,
     iterated_sum_trajectory,
 )
 from .realization import (
@@ -66,7 +63,6 @@ from .realization import (
     backward_step,
     ct_bilinear_simulate,
     forward_step,
-    one_step_identity_check,
     simulate_backward,
     simulate_forward,
 )

@@ -31,6 +31,10 @@ from .algebra import DomainError, Growth, GrowthClass, SeriesSpec, Word, word_le
 from .signals import ContinuousInput, DiscreteInput, l1_norm
 
 
+#: the asymptotic bounds assume at least this many steps per truncation order
+_MIN_STEPS_PER_ORDER = 5.0
+
+
 class Divergent(ArithmeticError):
     """A bound formula was evaluated outside its convergence region."""
 
@@ -93,7 +97,8 @@ def lc_bounds(b: BoundInputs, formula: str = "statement") -> BoundReport:
     0.0387 respectively.  Both are kept on purpose; reports carry the mode.
 
     The truncation tail is e(J) = K s^{J+1}/(1-s).  Raises Divergent when
-    the relevant parameter reaches 1.
+    the relevant parameter reaches 1.  At small J and large s_hat the
+    statement form turns negative; the report then carries a warning.
     """
     shat, s = b.s_hat, b.s
     if shat >= 1.0:
@@ -115,7 +120,11 @@ def lc_bounds(b: BoundInputs, formula: str = "statement") -> BoundReport:
     else:
         raise DomainError(f"unknown LC bound formula {formula!r}")
     e_tail = K * s ** (J + 1) / (1.0 - s)
-    return BoundReport(e_hat, e_tail, shat, s, mode=f"lc/{formula}")
+    warnings = ()
+    if e_hat < 0.0:
+        warnings = (f"e_hat = {e_hat:g} < 0: the {formula} formula gives no certificate "
+                    "at this J and s_hat; use bound_mode: exact_sum",)
+    return BoundReport(e_hat, e_tail, shat, s, mode=f"lc/{formula}", regime_warnings=warnings)
 
 
 def lc_simplified(b: BoundInputs) -> float:
@@ -271,26 +280,11 @@ def bound_inputs(
     )
 
 
-def regime_check(
-    c: SeriesSpec,
-    u: ContinuousInput,
-    uhat: DiscreteInput,
-    J: Optional[int] = None,
-    ratio_min: float = 5.0,
-) -> list[str]:
-    """Advisory warnings about being outside the regions where the bounds
-    are meaningful (see regime_warnings).  Norms and m are taken over the
-    series' effective alphabet; J = None skips the L/J test."""
-    if c.growth is None:
-        raise DomainError("regime_check needs a declared growth class")
-    return regime_warnings(c.growth.kind, bound_inputs(c, u, uhat, J or 0), ratio_min)
-
-
-def regime_warnings(kind: Growth, b: BoundInputs, ratio_min: float = 5.0) -> list[str]:
+def regime_warnings(kind: Growth, b: BoundInputs) -> list[str]:
     """Warnings for a series of growth ``kind``: the LC operator radius
     Rbar < 1/(M(m+1)), divergence of the LC bound formulas (s_hat or s >= 1),
     the GC discrete radius ||uhat||_inf < 1/(M(m+1)), and the steps-per-order
-    ratio L/J falling below ``ratio_min`` (J = 0 skips it)."""
+    ratio L/J falling below _MIN_STEPS_PER_ORDER (J = 0 skips it)."""
     radius = 1.0 / (b.M * (b.m + 1))
     warnings = []
     if kind is Growth.LC:
@@ -306,9 +300,9 @@ def regime_warnings(kind: Growth, b: BoundInputs, ratio_min: float = 5.0) -> lis
     if kind is Growth.GC and b.norm_uhat >= radius:
         warnings.append(f"||uhat||_inf = {b.norm_uhat:g} at or beyond the "
                         f"discrete convergence radius {radius:g}")
-    if b.J > 0 and b.L / b.J < ratio_min:
+    if b.J > 0 and b.L / b.J < _MIN_STEPS_PER_ORDER:
         warnings.append(
-            f"L/J = {b.L / b.J:g} below {ratio_min:g}; the asymptotic bounds "
+            f"L/J = {b.L / b.J:g} below {_MIN_STEPS_PER_ORDER:g}; the asymptotic bounds "
             "assume many steps per truncation order"
         )
     return warnings

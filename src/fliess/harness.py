@@ -357,30 +357,32 @@ def _bounds(cfg: ExperimentConfig, uhat: DiscreteInput) -> tuple[BoundInputs, Bo
             report = gc_bounds(b)
     except Divergent as exc:
         raise _annotate(exc, "e_hat/e_tail columns")
-    warnings = tuple(regime_warnings(g.kind, b))
+    warnings = tuple(regime_warnings(g.kind, b)) + report.regime_warnings
     return b, replace(report, regime_warnings=warnings)
 
 
-def _series_order(cfg: ExperimentConfig) -> int:
-    """Truncation order of the continuous output of a polynomial or callback
-    series: a polynomial's degree, where the truncation is exact, else J."""
-    if cfg.series.polynomial is not None:
-        return max(cfg.series.polynomial.degree(), 0)
-    return cfg.J
-
-
-def _reference_output(cfg: ExperimentConfig) -> tuple[float, str, list[str]]:
-    """y(T) plus a note of which route produced it."""
+def _continuous_output(cfg: ExperimentConfig,
+                       times: np.ndarray) -> tuple[np.ndarray, str, list[str]]:
+    """y at each of ``times``, the route that computed it, and its warnings.
+    The routes: a builtin's exact output from the running integral; one RK4
+    pass on a fine uniform grid for a representation, interpolated (the
+    bilinear flow is smooth, so this stays far below CSV precision); a
+    polynomial's series truncated at its degree, which is exact; a callback
+    series truncated at J.  The series routes make one Romberg sweep."""
     if cfg.analytic_output is not None:
-        return cfg.analytic_output(cfg.input.integral(1)), "analytic", []
+        values = [cfg.analytic_output(cfg.input.increment(1, 0.0, t)) for t in times]
+        return np.array(values), "analytic", []
     if cfg.series.representation is not None:
-        _, outputs = ct_bilinear_simulate(cfg.series.representation, cfg.input)
-        return float(outputs[-1]), "rk4", []
-    order = _series_order(cfg)
+        # a trajectory's times include the L + 1 step nodes, so this is >= 4L
+        steps = max(4 * (times.size - 1), 2000)
+        grid, outputs = ct_bilinear_simulate(cfg.series.representation, cfg.input, steps=steps)
+        return np.interp(times, grid, outputs), "rk4", []
     if cfg.series.polynomial is not None:
-        return fliess_truncated(cfg.series, cfg.input, order), f"finite@{order}", []
-    warning = f"y column: no exact route for a callback series; truncated at J={order}"
-    return fliess_truncated(cfg.series, cfg.input, order), f"truncated@{order}", [warning]
+        order = max(cfg.series.polynomial.degree(), 0)
+        return fliess_truncated(cfg.series, cfg.input, order, t=times), f"finite@{order}", []
+    warning = f"y column: no exact route for a callback series; truncated at J={cfg.J}"
+    return (fliess_truncated(cfg.series, cfg.input, cfg.J, t=times), f"truncated@{cfg.J}",
+            [warning])
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -388,7 +390,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     truncated discrete approximation, and both bound columns."""
     uhat = discretize(cfg.input, cfg.L, rule=cfg.increments)
     bound_inputs, bounds_report = _bounds(cfg, uhat)
-    y, y_route, warnings = _reference_output(cfg)
+    (y,), y_route, warnings = _continuous_output(cfg, np.array([cfg.input.T]))
     try:
         y_hat = dt_fliess_truncated(cfg.series, uhat, cfg.J)
     except CapExceeded as exc:
@@ -409,7 +411,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         norm_uhat=bound_inputs.norm_uhat,
         s=bounds_report.s,
         s_hat=bounds_report.s_hat,
-        y=y,
+        y=float(y),
         y_hat=y_hat,
         e_hat=bounds_report.e_hat,
         e_tail=bounds_report.e_tail,
@@ -593,20 +595,6 @@ def reproduce_table(which: str) -> TableResult:
 # trajectory emission
 # ---------------------------------------------------------------------------
 
-def _continuous_curve(cfg: ExperimentConfig, times: np.ndarray) -> np.ndarray:
-    if cfg.analytic_output is not None:
-        return np.array([
-            cfg.analytic_output(cfg.input.increment(1, 0.0, t)) for t in times
-        ])
-    if cfg.series.representation is not None:
-        # one RK4 pass over a fine uniform grid, then interpolate; the
-        # bilinear flow is smooth so this stays far below CSV precision
-        steps = max(4 * (times.size - 1), 4 * cfg.L, 2000)
-        grid, outputs = ct_bilinear_simulate(cfg.series.representation, cfg.input, steps=steps)
-        return np.interp(times, grid, outputs)
-    return fliess_truncated(cfg.series, cfg.input, _series_order(cfg), t=times)
-
-
 def emit_trajectory(cfg: ExperimentConfig, resolution: int = 200) -> list[list[str]]:
     """Rows (including header) of the plot-data CSV: the continuous response
     sampled at ``resolution`` uniform points, merged with the discrete
@@ -629,7 +617,7 @@ def emit_trajectory(cfg: ExperimentConfig, resolution: int = 200) -> list[list[s
     merged.sort(key=lambda item: item[0])
 
     times = np.array([t for t, _ in merged])
-    curve = _continuous_curve(cfg, times)
+    curve, _, _ = _continuous_output(cfg, times)
     header = ["t", "y", "N", "y_hat"]
     if realization is not None:
         header.append("y_realization")

@@ -22,10 +22,9 @@ layer below at the same step; integrals use the panel rule under one
 Romberg driver (_romberg) that extrapolates whole output arrays.  One
 Romberg sweep serves every sample time: its grids are aligned to the
 breakpoints and to all sample times, so a whole trajectory costs one run of
-the recursion per level.  iterated_integral_pc and
-iterated_sum_partition are per-word closed forms kept as test references.
-Representations enumerate no words and polynomials only their support
-words, so ``cap`` bounds callback series only.
+the recursion per level.  Representations enumerate no words and
+polynomials only their support words, so ``cap`` bounds callback series
+only.
 """
 
 from __future__ import annotations
@@ -39,22 +38,13 @@ import numpy as np
 from .algebra import (
     DEFAULT_WORD_CAP,
     Alphabet,
-    CapExceeded,
     DomainError,
     Polynomial,
     SeriesSpec,
     count_words_upto,
     enumerate_words_upto,
 )
-from .signals import (
-    CatenatedChannel,
-    Channel,
-    ConstantChannel,
-    ContinuousInput,
-    DiscreteInput,
-    PiecewiseConstantChannel,
-    QuadratureFailure,
-)
+from .signals import ContinuousInput, DiscreteInput, QuadratureFailure
 
 
 # ---------------------------------------------------------------------------
@@ -217,57 +207,6 @@ def iterated_integral(
                           lambda ends: ends[-1][0], max_refinements)[0])
 
 
-def _piecewise_constant(ch: Channel) -> bool:
-    if isinstance(ch, CatenatedChannel):
-        return _piecewise_constant(ch.first) and _piecewise_constant(ch.second)
-    return isinstance(ch, (ConstantChannel, PiecewiseConstantChannel))
-
-
-def iterated_integral_pc(
-    eta: Sequence[int], u: ContinuousInput, t: Optional[float] = None
-) -> float:
-    """E_eta[u](t) for piecewise-constant inputs, exactly.
-
-    On a piece of duration d where channel i holds the value w_i, the level
-    structure integrates in closed form: a word alpha evaluated across the
-    piece alone contributes (prod_i w_{alpha_i}) * d^{|alpha|} / |alpha|!.
-    Crossing pieces left to right, the suffix values at each piece boundary
-    update by summing over the split of each suffix into a part absorbed by
-    the new piece and a shorter suffix from the old boundary.
-    """
-    eta = Alphabet(u.m).check_word(eta)
-    t = u.T if t is None else t
-    if not 0.0 <= t <= u.T:
-        raise DomainError(f"evaluation time {t} outside [0, {u.T}]")
-    for i in range(1, u.m + 1):
-        if not _piecewise_constant(u.channel(i)):
-            raise DomainError(f"{u.channel(i)!r} is not piecewise constant")
-    p = len(eta)
-    if p == 0:
-        return 1.0
-    if t == 0.0:
-        return 0.0
-
-    edges = [0.0, *(b for b in u.breakpoints() if b < t), t]
-    # suffix[k] = E_{eta[k:]}[u] at the current piece boundary
-    suffix = [0.0] * p + [1.0]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        d = hi - lo
-        mid = 0.5 * (lo + hi)
-        w = [1.0 if letter == 0 else float(u.value(letter, mid)) for letter in eta]
-        new = [0.0] * (p + 1)
-        new[p] = 1.0
-        for k in range(p - 1, -1, -1):
-            acc = suffix[k]  # the whole suffix carried over (empty absorbed part)
-            prod = 1.0
-            for l in range(k + 1, p + 1):
-                prod *= w[l - 1] * d / (l - k)
-                acc += prod * suffix[l]
-            new[k] = acc
-        suffix = new
-    return suffix[0]
-
-
 def chen_truncation(
     u: ContinuousInput,
     J: int,
@@ -332,38 +271,6 @@ def iterated_sum_trajectory(
     return s
 
 
-def iterated_sum_partition(
-    eta: Sequence[int],
-    uhat: DiscreteInput,
-    N: Optional[int] = None,
-    cap: int = DEFAULT_WORD_CAP,
-) -> float:
-    """S_eta[uhat](N) by direct enumeration: one product per non-increasing
-    assignment N >= k_1 >= ... >= k_p >= 1 of steps to the letters of eta
-    (outermost letter gets k_1).  There are binomial(N-1+p, p) assignments."""
-    eta = Alphabet(uhat.m).check_word(eta)
-    if N is None:
-        N = uhat.L
-    if not 0 <= N <= uhat.L:
-        raise DomainError(f"step count {N} outside 0..{uhat.L}")
-    p = len(eta)
-    if p == 0:
-        return 1.0
-    if N == 0:
-        return 0.0
-    count = math.comb(N - 1 + p, p)
-    if count > cap:
-        raise CapExceeded(f"{count} index assignments exceeds cap {cap}")
-    values = uhat.values
-    total = 0.0
-    for combo in itertools.combinations_with_replacement(range(1, N + 1), p):
-        prod = 1.0
-        for letter, k in zip(eta, reversed(combo)):
-            prod *= values[k - 1, letter]
-        total += prod
-    return total
-
-
 def dt_fliess_trajectory(
     c: SeriesSpec, uhat: DiscreteInput, J: int, cap: int = DEFAULT_WORD_CAP
 ) -> np.ndarray:
@@ -386,10 +293,8 @@ def dt_fliess_truncated(
     c: SeriesSpec,
     uhat: DiscreteInput,
     J: int,
-    N: Optional[int] = None,
     cap: int = DEFAULT_WORD_CAP,
 ) -> float:
     """Truncated discrete-time series functional
-    sum_{|eta| <= J} (c, eta) S_eta[uhat](N)."""
-    N = uhat.L if N is None else N
-    return float(dt_fliess_trajectory(c, uhat.prefix(N), J, cap=cap)[N])
+    sum_{|eta| <= J} (c, eta) S_eta[uhat](L) at the last step."""
+    return float(dt_fliess_trajectory(c, uhat, J, cap=cap)[-1])

@@ -1,6 +1,5 @@
 """Exact evaluation of rational discrete-time operators through state-affine
-recursions, the continuous-time bilinear reference integrator, and the
-one-step shift identity that ties the recursions back to iterated sums.
+recursions, and the continuous-time bilinear reference integrator.
 
 A linear representation (A_0..A_m, gamma, lam) determines the forward
 recursion
@@ -15,9 +14,9 @@ step without any linear solve.
 
 "Sufficiently small increments" is made operational by two policies:
 ``strict_norm`` demands the induced infinity norm of sum_j A_j uhat_j stay
-below a threshold (default 1 - 1e-9), a sufficient condition for the
-resolvent to exist; ``solve_with_residual`` just solves and checks the
-residual, admitting increments the conservative test would reject.
+below 1 - 1e-9, a sufficient condition for the resolvent to exist;
+``solve_with_residual`` just solves and checks the residual, admitting
+increments the conservative test would reject.
 
 The continuous reference is classical RK4 on the bilinear system.  Its field
 is linear in z, so each step is a product z' = Phi_k z with a one-step
@@ -37,13 +36,14 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import DomainError, LinearRepresentation, SeriesSpec, left_shift
-from .operators import dt_fliess_trajectory, dt_fliess_truncated
+from .algebra import DomainError, LinearRepresentation
 from .signals import ContinuousInput, DiscreteInput
 
 # floats per stacked (steps, dim, dim) array in one time block: keeps a
 # block's memory small and flat in the horizon
 _BLOCK_FLOATS = 2 ** 12
+# the ``strict_norm`` policy needs ||sum_j A_j uhat_j||_inf below this
+_NORM_THRESHOLD = 1.0 - 1e-9
 # RK4 blocks whose stage bound stays below this cannot overflow
 _OVERFLOW_GUARD = 0.5 * np.finfo(float).max
 
@@ -74,7 +74,6 @@ class StateAffineSystem:
 
     rep: LinearRepresentation
     invertibility_policy: str = "strict_norm"
-    norm_threshold: float = 1.0 - 1e-9
 
     def __post_init__(self):
         if self.invertibility_policy not in ("strict_norm", "solve_with_residual"):
@@ -119,12 +118,12 @@ def _check_norms(sys: StateAffineSystem, B: np.ndarray, first_step: Optional[int
     if sys.invertibility_policy != "strict_norm":
         return
     norms = np.abs(B).sum(axis=-1).max(axis=-1, initial=0.0).reshape(-1)
-    bad = np.flatnonzero(~(norms < sys.norm_threshold))  # a NaN norm fails too
+    bad = np.flatnonzero(~(norms < _NORM_THRESHOLD))  # a NaN norm fails too
     if bad.size:
         k = int(bad[0])
         raise _step_error(
             PolicyViolation,
-            f"||sum A_j uhat_j||_inf = {norms[k]:g} >= {sys.norm_threshold:g}; "
+            f"||sum A_j uhat_j||_inf = {norms[k]:g} >= {_NORM_THRESHOLD:g}; "
             "increments too large for the conservative resolvent test",
             None if first_step is None else first_step + k,
         )
@@ -285,17 +284,17 @@ def _rk4_staged(F_nodes: np.ndarray, F_mid: np.ndarray, h: float,
 def ct_bilinear_simulate(
     rep: LinearRepresentation,
     u: ContinuousInput,
-    T: Optional[float] = None,
     steps: int = 2000,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Classical fourth-order Runge-Kutta on the bilinear system
 
         dz/dt = sum_{j=0}^m A_j z u_j(t),    z(0) = gamma,    y = lam @ z,
 
-    with fixed step T/steps.  Returns (times, outputs) at the step nodes.
-    This is the continuous-time reference that discretizations are measured
-    against.  Raises NonFinite, naming the first step node where the state
-    is not finite, if the state blows up along the way.
+    on the input's horizon T = u.T with fixed step T/steps.  Returns
+    (times, outputs) at the step nodes.  This is the continuous-time
+    reference that discretizations are measured against.  Raises NonFinite,
+    naming the first step node where the state is not finite, if the state
+    blows up along the way.
 
     The field is linear in z, so each RK4 step is a product z' = Phi_k z
     with a one-step propagator Phi_k that is algebraically the staged
@@ -305,13 +304,10 @@ def ct_bilinear_simulate(
     """
     if rep.m != u.m:
         raise DomainError(f"representation has m={rep.m} but input has m={u.m}")
-    if T is None:
-        T = u.T
-    if not 0.0 < T <= u.T:
-        raise DomainError(f"horizon {T} outside (0, {u.T}]")
     if steps < 1:
         raise DomainError(f"need steps >= 1, got {steps}")
 
+    T = u.T
     h = T / steps
     times = np.linspace(0.0, T, steps + 1)
     # letter weights (1, u_1, ..., u_m) at the step nodes (even rows) and the
@@ -345,28 +341,3 @@ def ct_bilinear_simulate(
             outputs[start + 1:stop + 1] = block_states @ rep.lam
     return times, outputs
 
-
-def one_step_identity_check(
-    c: SeriesSpec, uhat: DiscreteInput, N: int, J: int
-) -> float:
-    """Residual of the one-step shift identity at matched truncations:
-
-        F^J(N+1) = F^J(N) + sum_{j=0}^m uhat_j(N+1) G_j^{J-1}(N+1),
-
-    where G_j is the functional of the left-shifted series x_j^{-1}(c).
-    With the shifted side truncated at J-1 the identity is exact, so the
-    returned |LHS - RHS| is pure floating-point noise (<= 1e-10 in tests).
-    """
-    if not 0 <= N < uhat.L:
-        raise DomainError(f"need 0 <= N < L = {uhat.L} to take one step, got {N}")
-    if J < 0:
-        raise DomainError(f"truncation order must be >= 0, got {J}")
-    traj = dt_fliess_trajectory(c, uhat.prefix(N + 1), J)
-    lhs, rhs = traj[N + 1], traj[N]
-    if J >= 1:
-        for j in range(uhat.m + 1):
-            uj = float(uhat.values[N, j])
-            if uj != 0.0:
-                shifted = left_shift((j,), c)
-                rhs += uj * dt_fliess_truncated(shifted, uhat, J - 1, N=N + 1)
-    return abs(lhs - rhs)

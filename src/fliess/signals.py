@@ -349,6 +349,8 @@ def discretize(u: ContinuousInput, L: int, rule: str = "exact") -> DiscreteInput
     """
     if L < 1:
         raise DomainError(f"step count L must be >= 1, got {L}")
+    if rule not in ("exact", "trapezoid"):
+        raise DomainError(f"unknown increment rule {rule!r}")
     delta = u.T / L
     values = np.empty((L, u.m + 1), dtype=float)
     values[:, 0] = delta
@@ -357,11 +359,9 @@ def discretize(u: ContinuousInput, L: int, rule: str = "exact") -> DiscreteInput
         if rule == "exact":
             ch = u.channel(i)
             values[:, i] = [ch.increment(edges[N], edges[N + 1]) for N in range(L)]
-        elif rule == "trapezoid":
+        else:
             nodes = u.value(i, edges)
             values[:, i] = 0.5 * delta * (nodes[:-1] + nodes[1:])
-        else:
-            raise DomainError(f"unknown increment rule {rule!r}")
     return DiscreteInput(u.m, L, delta, values)
 
 

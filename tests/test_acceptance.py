@@ -33,15 +33,9 @@ from fliess.operators import (
     chen_truncation,
     dt_fliess_trajectory,
     iterated_integral,
-    iterated_integral_pc,
     iterated_sum,
-    iterated_sum_partition,
 )
-from fliess.realization import (
-    StateAffineSystem,
-    one_step_identity_check,
-    simulate_forward,
-)
+from fliess.realization import StateAffineSystem, simulate_forward
 from fliess.signals import (
     ContinuousInput,
     DiscreteInput,
@@ -52,6 +46,7 @@ from fliess.signals import (
 )
 
 from conftest import random_pc_input, random_polynomial_series
+from oracles import iterated_integral_pc, iterated_sum_partition, one_step_identity_check
 
 
 def test_criterion_1_lc_table_reproduction():

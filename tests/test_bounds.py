@@ -21,6 +21,7 @@ from fliess.algebra import (
 from fliess.bounds import (
     BoundInputs,
     Divergent,
+    bound_inputs,
     classify_convergence,
     dt_tail_bound,
     eeta_bound,
@@ -30,11 +31,11 @@ from fliess.bounds import (
     gc_simplified,
     lc_bounds,
     lc_simplified,
-    regime_check,
+    regime_warnings,
     seta_bound,
     single_integral_error_bound,
 )
-from fliess.operators import iterated_integral_pc, iterated_sum
+from fliess.operators import iterated_sum
 from fliess.signals import (
     ContinuousInput,
     SinusoidChannel,
@@ -44,6 +45,7 @@ from fliess.signals import (
 )
 
 from conftest import random_pc_input
+from oracles import iterated_integral_pc
 
 TABLE_CASE_LC = BoundInputs(K=1, M=1, m=0, L=50, J=10, norm_uhat=0.01, Rbar=0.5)
 TABLE_CASE_GC = BoundInputs(K=1, M=1, m=0, L=50, J=10, norm_uhat=0.04, Rbar=2.0)
@@ -84,6 +86,19 @@ def test_lc_statement_hand_value():
     assert r.e_tail == pytest.approx(0.0009765625, abs=1e-14)
     assert r.mode == "lc/statement"
     assert r.s_hat == pytest.approx(0.5) and r.s == pytest.approx(0.5)
+
+
+def test_negative_statement_certificate_warns():
+    # the subtracted terms outweigh s_hat^2/(1-s_hat)^3 at small J and large s_hat
+    b = BoundInputs(K=2, M=1, m=2, L=25, J=4, norm_uhat=0.01, Rbar=0.25)
+    assert b.s_hat == pytest.approx(0.75)
+    r = lc_bounds(b, "statement")
+    assert r.e_hat == pytest.approx(-1.98)
+    (warning,) = r.regime_warnings
+    assert "e_hat = -1.98" in warning and "bound_mode: exact_sum" in warning
+    exact = lc_bounds(b, "exact_sum")
+    assert exact.e_hat > 0 and exact.regime_warnings == ()
+    assert lc_bounds(TABLE_CASE_LC, "statement").regime_warnings == ()
 
 
 def test_lc_exact_sum_hand_value():
@@ -310,13 +325,13 @@ def test_regime_check_warnings():
     )
     u = constant_input(4.0, 1.0)          # Rbar = 4 >= radius 1
     uhat = discretize(u, 10)
-    msgs = regime_check(c, u, uhat, J=10)
+    msgs = regime_warnings(Growth.LC, bound_inputs(c, u, uhat, J=10))
     assert any("radius" in w for w in msgs)
     assert any("s_hat" in w for w in msgs)
     assert any("L/J" in w for w in msgs)
     # well inside the regime: silent
     ok_u = constant_input(0.4, 0.5)
-    assert regime_check(c, ok_u, discretize(ok_u, 100), J=10) == []
+    assert regime_warnings(Growth.LC, bound_inputs(c, ok_u, discretize(ok_u, 100), J=10)) == []
 
 
 def test_regime_check_gc_radius():
@@ -327,14 +342,7 @@ def test_regime_check_gc_radius():
     )
     u = constant_input(30.0, 1.0)
     uhat = discretize(u, 10)   # increments of size 3 >= radius 1
-    assert any("radius" in w for w in regime_check(c, u, uhat))
-
-
-def test_regime_check_needs_growth():
-    c = SeriesSpec(Alphabet(1), polynomial=Polynomial.one())
-    u = constant_input(1.0, 1.0)
-    with pytest.raises(DomainError):
-        regime_check(c, u, discretize(u, 4))
+    assert any("radius" in w for w in regime_warnings(Growth.GC, bound_inputs(c, u, uhat)))
 
 
 # ---------------------------------------------------------------------------

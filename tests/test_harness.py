@@ -36,7 +36,7 @@ from fliess.harness import (
     table_configs,
     write_csv,
 )
-from fliess.operators import fliess_truncated, iterated_integral_pc
+from fliess.operators import fliess_truncated
 from fliess.signals import (
     ConstantChannel,
     ContinuousInput,
@@ -46,6 +46,8 @@ from fliess.signals import (
     constant_input,
     discretize,
 )
+
+from oracles import iterated_integral_pc
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -387,6 +389,33 @@ def test_sparse_polynomial_config_trajectory_is_exact(monkeypatch):
         exact = math.fsum(c * iterated_integral_pc(w, cfg.input, t=float(t))
                           for w, c in cfg.series.polynomial)
         assert row[1] == format_float(exact)
+
+
+@pytest.mark.parametrize("name, route", [
+    ("factorial_constant", "analytic"),
+    ("geometric_resolvent", "rk4"),
+    ("sinusoid_drive", "analytic"),
+    ("sparse_polynomial", "finite@4"),
+])
+def test_trajectory_last_cell_is_the_report_y(name, route):
+    cfg = load_config(str(CONFIGS / f"{name}.json"))
+    report = run_experiment(cfg)
+    assert report.y_route == route
+    assert emit_trajectory(cfg, resolution=200)[-1][1] == report.row()[REPORT_COLUMNS.index("y")]
+
+
+def test_negative_statement_certificate_warns_on_stderr(tmp_path, capsys):
+    doc = json.loads((CONFIGS / "sparse_polynomial.json").read_text())
+    doc["bound_mode"] = "statement"
+    report = run_experiment(parse_config(doc))
+    assert report.e_hat < 0
+    assert any("e_hat = -1.98" in w and "exact_sum" in w for w in report.warnings)
+    assert cli.main(["run", write_doc(tmp_path, doc)]) == 0
+    out, err = capsys.readouterr()
+    assert out == report_csv([report])
+    assert "warning: e_hat = -1.98" in err
+    assert cli.main(["bounds", write_doc(tmp_path, doc)]) == 0
+    assert "warning: e_hat = -1.98" in capsys.readouterr().err
 
 
 def test_write_csv_uses_plain_newlines():

@@ -26,9 +26,7 @@ from fliess.operators import (
     dt_fliess_truncated,
     fliess_truncated,
     iterated_integral,
-    iterated_integral_pc,
     iterated_sum,
-    iterated_sum_partition,
     iterated_sum_trajectory,
 )
 from fliess.signals import (
@@ -43,6 +41,7 @@ from fliess.signals import (
 )
 
 from conftest import random_pc_input, random_polynomial_series
+from oracles import iterated_integral_pc, iterated_sum_partition
 
 
 # ---------------------------------------------------------------------------

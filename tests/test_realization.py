@@ -23,7 +23,6 @@ from fliess.realization import (
     backward_step,
     ct_bilinear_simulate,
     forward_step,
-    one_step_identity_check,
     simulate_backward,
     simulate_forward,
 )
@@ -38,6 +37,7 @@ from fliess.signals import (
 )
 
 from conftest import random_pc_input, random_polynomial_series
+from oracles import one_step_identity_check
 
 
 def geometric_rep() -> LinearRepresentation:

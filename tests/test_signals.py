@@ -213,6 +213,9 @@ def test_discretize_validation():
         discretize(u, 0)
     with pytest.raises(DomainError):
         discretize(u, 10, rule="simpson")
+    # the rule is checked even when there is no channel to apply it to
+    with pytest.raises(DomainError, match="bogus"):
+        discretize(ContinuousInput([], 1.0), 4, rule="bogus")
 
 
 def test_discrete_input_invariants():
