@@ -34,6 +34,8 @@ from .signals import ContinuousInput, DiscreteInput, l1_norm
 #: the asymptotic bounds assume at least this many steps per truncation order
 _MIN_STEPS_PER_ORDER = 5.0
 
+EXP_ARG_MAX = math.log(1.7976931348623157e308)  #: e^x overflows double precision above it
+
 
 class Divergent(ArithmeticError):
     """A bound formula was evaluated outside its convergence region."""
@@ -181,8 +183,12 @@ def gc_bounds(b: BoundInputs) -> BoundReport:
     with Q the regularized upper incomplete gamma (integer order).  Both
     converge for every shat, s >= 0.  The tail is summed directly rather
     than through 1 - Q so that values near machine epsilon stay accurate.
+    Raises DomainError naming the column where e^{shat} or e^s overflows.
     """
     shat, s = b.s_hat, b.s
+    for column, name, x in (("e_hat", "s_hat", shat), ("e_tail", "s", s)):
+        if x > EXP_ARG_MAX:
+            raise DomainError(f"{column} column: e^{name} overflows at {name} = {x:g}")
     e_hat = (b.K / (2.0 * b.L)) * math.exp(shat) * shat**2 * gamma_upper_regularized(b.J + 1, shat)
     e_tail = b.K * _exp_tail(s, b.J)
     return BoundReport(e_hat, e_tail, shat, s, mode="gc")

@@ -37,6 +37,7 @@ from .algebra import (
     SeriesSpec,
 )
 from .bounds import (
+    EXP_ARG_MAX,
     BoundInputs,
     BoundReport,
     Divergent,
@@ -74,8 +75,8 @@ REPORT_COLUMNS = (
 class BuiltinSystem:
     name: str
     series: SeriesSpec
-    #: exact output as a function of the input's running integral z(T)
-    analytic_output: Callable[[float], float]
+    #: exact output from the input's running integral z(t), elementwise over arrays
+    analytic_output: Callable[[np.ndarray], np.ndarray]
 
 
 def lc_factorial() -> BuiltinSystem:
@@ -92,9 +93,9 @@ def lc_factorial() -> BuiltinSystem:
         label="lc_factorial",
     )
 
-    def output(z: float) -> float:
-        if z >= 1.0:
-            raise DomainError(f"1/(1-z) undefined: running integral z = {z:g} >= 1")
+    def output(z):
+        if np.max(z) >= 1.0:
+            raise DomainError(f"1/(1-z) undefined: running integral z = {np.max(z):g} >= 1")
         return 1.0 / (1.0 - z)
 
     return BuiltinSystem("lc_factorial", series, output)
@@ -111,7 +112,13 @@ def gc_geometric() -> BuiltinSystem:
         support_letters={1},
         label="gc_geometric",
     )
-    return BuiltinSystem("gc_geometric", series, math.exp)
+
+    def output(z):
+        if np.max(z) > EXP_ARG_MAX:
+            raise DomainError(f"y = e^z overflows: running integral z = {np.max(z):g}")
+        return np.exp(z)
+
+    return BuiltinSystem("gc_geometric", series, output)
 
 
 _BUILTINS = {"lc_factorial": lc_factorial, "gc_geometric": gc_geometric}
@@ -128,7 +135,7 @@ class ExperimentConfig:
     include_realization: bool = False
     label: str = ""
     #: set for builtin systems: exact output from the running integral
-    analytic_output: Optional[Callable[[float], float]] = None
+    analytic_output: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.L < 1 or self.J < 0:
@@ -208,14 +215,12 @@ def _finite(value, path: str):
     return x
 
 
-def _check_finite(doc, path: str = "") -> None:
-    """Reject NaN and infinities anywhere in a config document, also in
-    fields that are not read as numbers."""
-    if isinstance(doc, float):
-        _finite(doc, path)
-    elif isinstance(doc, (dict, list)):
-        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
-            _check_finite(value, f"{path}.{key}" if path else str(key))
+def _typed(doc: dict, key: str, default, kind: type, path: str = ""):
+    value = doc.get(key, default)
+    if not isinstance(value, kind):
+        field = f"{path}.{key}" if path else key
+        raise DomainError(f"{field} must be a {kind.__name__}, got {value!r}")
+    return value
 
 
 def _integer(doc: dict, key: str, path: str = "") -> int:
@@ -250,7 +255,7 @@ def _parse_system(doc: dict) -> tuple[SeriesSpec, Optional[Callable[[float], flo
             Alphabet(_integer(spec, "m", path)),
             polynomial=Polynomial(terms),
             growth=_parse_growth(spec["growth"], f"{path}.growth"),
-            label=spec.get("label", "polynomial"),
+            label=_typed(spec, "label", "polynomial", str, path),
         )
         return series, None, series.label
     if "representation" in doc:
@@ -266,7 +271,7 @@ def _parse_system(doc: dict) -> tuple[SeriesSpec, Optional[Callable[[float], flo
             representation=rep,
             growth=_parse_growth(spec["growth"], f"{path}.growth"),
             support_letters=set(support) if support is not None else None,
-            label=spec.get("label", "representation"),
+            label=_typed(spec, "label", "representation", str, path),
         )
         return series, None, series.label
     raise DomainError("system must give one of: builtin, polynomial, representation")
@@ -295,10 +300,9 @@ def _parse_channel(doc: dict, path: str) -> tuple[Channel, str]:
 
 def parse_config(doc: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from a decoded JSON document.  Raises
-    DomainError on any missing, out-of-range, non-finite or (for L, J and
-    m) non-integral field; numbers given as strings are read as numbers."""
+    DomainError on any missing, mistyped, out-of-range, non-finite or (for L,
+    J, m) non-integral field; numbers given as strings are read as numbers."""
     try:
-        _check_finite(doc)
         series, analytic, sys_label = _parse_system(doc["system"])
         parsed = [_parse_channel(ch, f"input.channels.{i}")
                   for i, ch in enumerate(doc["input"]["channels"])]
@@ -311,8 +315,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
             J=_integer(doc, "J"),
             bound_mode=doc.get("bound_mode", "statement"),
             increments=doc.get("increments", "exact"),
-            include_realization=bool(doc.get("include_realization", False)),
-            label=doc.get("label", sys_label),
+            include_realization=_typed(doc, "include_realization", False, bool),
+            label=_typed(doc, "label", sys_label, str),
             analytic_output=analytic,
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -370,8 +374,7 @@ def _continuous_output(cfg: ExperimentConfig,
     polynomial's series truncated at its degree, which is exact; a callback
     series truncated at J.  The series routes make one Romberg sweep."""
     if cfg.analytic_output is not None:
-        values = [cfg.analytic_output(cfg.input.increment(1, 0.0, t)) for t in times]
-        return np.array(values), "analytic", []
+        return cfg.analytic_output(cfg.input.increment(1, 0.0, times)), "analytic", []
     if cfg.series.representation is not None:
         # a trajectory's times include the L + 1 step nodes, so this is >= 4L
         steps = max(4 * (times.size - 1), 2000)

@@ -7,18 +7,19 @@ steps produces the increment sequence uhat(N), N = 1..L, where
 
     uhat_i(N) = integral of u_i over [(N-1)*Delta, N*Delta],   Delta = T/L,
 
-so uhat_0(N) = Delta always.  Every built-in channel kind knows its exact
-increment and absolute-value integrals in closed form, which keeps the
-discretization error at machine precision (far below the 1e-12 contract for
-tabulated channels).  An alternative per-step trapezoid rule
-(Delta/2)(u((N-1)Delta) + u(N Delta)) is selectable; it is what fixed-step
-simulation environments typically produce and is used by the bundled
-regression tables.
+so uhat_0(N) = Delta always.  Every built-in channel kind integrates itself
+and its absolute value in closed form, elementwise over arrays of interval
+ends, so discretize makes one call per channel and the discretization error
+stays at machine precision (far below the 1e-12 contract for tabulated
+channels).  The constant, piecewise-constant and sampled kinds are piecewise
+linear and share one integration routine.  An alternative per-step trapezoid
+rule (Delta/2)(u((N-1)Delta) + u(N Delta)) is selectable; it is what
+fixed-step simulation environments typically produce and is used by the
+bundled regression tables.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -33,16 +34,18 @@ class QuadratureFailure(Exception):
 
 
 class Channel:
-    """One controlled input channel on [0, duration]."""
+    """One controlled input channel on [0, duration].  Each method takes a
+    scalar or an array of times (the integrals: of interval ends a <= b, of
+    matching shapes or one of them scalar) and works elementwise."""
 
     def value(self, t):
         raise NotImplementedError
 
-    def increment(self, a: float, b: float) -> float:
+    def increment(self, a, b):
         """Exact integral of the channel over [a, b]."""
         raise NotImplementedError
 
-    def abs_increment(self, a: float, b: float) -> float:
+    def abs_increment(self, a, b):
         """Exact integral of |channel| over [a, b]."""
         raise NotImplementedError
 
@@ -51,18 +54,65 @@ class Channel:
         return ()
 
 
-class ConstantChannel(Channel):
-    def __init__(self, level: float):
-        self.level = float(level)
+class _PiecewiseLinearChannel(Channel):
+    """Linear between knots and right-continuous at them: piece k holds on
+    [knots[k-1], knots[k]) (piece 0 from -inf, the last piece to +inf) and
+    equals start[k] + slope[k] (t - origin[k]) there; end[k] is its limit
+    from the left at knots[k] (unused for the last piece)."""
+
+    def __init__(self, knots, start, slope, origin, end):
+        self._edges = np.array([-np.inf, *knots, np.inf])
+        self._knots = self._edges[1:-1]
+        self._start, self._slope, self._origin, self._end = np.array(
+            [start, slope, origin, end], dtype=float)
 
     def value(self, t):
-        return np.full_like(np.asarray(t, dtype=float), self.level)
+        t = np.asarray(t, dtype=float)
+        if not self._knots.size:  # one constant piece
+            return np.full_like(t, self._start[0])
+        k = np.searchsorted(self._knots, t, side="right")
+        return self._start[k] + self._slope[k] * (t - self._origin[k])
 
     def increment(self, a, b):
-        return self.level * (b - a)
+        return self._integrate(a, b, magnitude=False)
 
     def abs_increment(self, a, b):
-        return abs(self.level) * (b - a)
+        return self._integrate(a, b, magnitude=True)
+
+    def _integrate(self, a, b, magnitude):
+        if not self._knots.size:  # one constant piece
+            return (abs(self._start[0]) if magnitude else self._start[0]) * (b - a)
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+        if a.size > 1 and a.size * self._edges.size > 2**20:  # halve to bound the work arrays
+            h = a.size // 2
+            return np.r_[self._integrate(a.flat[:h], b.flat[:h], magnitude),
+                         self._integrate(a.flat[h:], b.flat[h:], magnitude)].reshape(a.shape)
+        a, b = a[..., None], b[..., None]
+        # along a new last axis, consecutive pieces covering [a, b], clipped into it
+        first = np.searchsorted(self._knots, a, side="right")
+        size = int((np.searchsorted(self._knots, b, side="right") - first).max(initial=0)) + 1
+        k = np.minimum(first, self._knots.size + 1 - size) + np.arange(size)
+        lo, hi = np.clip(self._edges[k], a, b), np.clip(self._edges[k + 1], a, b)
+        start, slope, origin = self._start[k], self._slope[k], self._origin[k]
+        f_lo = start + slope * (lo - origin)
+        f_hi = np.where(hi == self._edges[k + 1], self._end[k], start + slope * (hi - origin))
+        # the trapezoid rule is exact on a linear piece; |f| is split at its root
+        if magnitude:
+            area = 0.5 * (np.abs(f_lo) + np.abs(f_hi)) * (hi - lo)
+            cross = f_lo * f_hi < 0
+            fl, fh, t0, t1 = f_lo[cross], f_hi[cross], lo[cross], hi[cross]
+            root = t0 + fl / (fl - fh) * (t1 - t0)
+            area[cross] = 0.5 * np.abs(fl) * (root - t0) + 0.5 * np.abs(fh) * (t1 - root)
+        else:
+            area = 0.5 * (f_lo + f_hi) * (hi - lo)
+        # a running total in time order, piece by piece
+        return np.cumsum(area, axis=-1)[..., -1][()]
+
+
+class ConstantChannel(_PiecewiseLinearChannel):
+    def __init__(self, level: float):
+        self.level = float(level)
+        super().__init__((), (self.level,), (0.0,), (0.0,), (self.level,))
 
     def __repr__(self):
         return f"ConstantChannel({self.level:g})"
@@ -83,35 +133,29 @@ class SinusoidChannel(Channel):
         if self.omega == 0.0:
             return self.amplitude * math.sin(self.phase) * (b - a)
         w, p = self.omega, self.phase
-        return self.amplitude / w * (math.cos(w * a + p) - math.cos(w * b + p))
+        return self.amplitude / w * (np.cos(w * a + p) - np.cos(w * b + p))
 
     def abs_increment(self, a, b):
         if self.omega == 0.0:
             return abs(self.amplitude * math.sin(self.phase)) * (b - a)
-        # integrate |sin| piece by piece between its zeros (w t + p = k pi)
+        # between consecutive zeros w t + p = k pi, |sin| integrates to 2/w per
+        # whole half-period, and each end piece is differenced on its own: one
+        # antiderivative differenced over [a, b] loses precision on short intervals
         w, p = abs(self.omega), self.phase if self.omega > 0 else -self.phase
-        total = 0.0
-        lo = a
-        k = math.ceil((w * a + p) / math.pi)
-        while True:
-            zero = (k * math.pi - p) / w
-            hi = min(zero, b)
-            if hi > lo:
-                # sign of sin on (lo, hi) is the sign at the midpoint
-                mid = 0.5 * (lo + hi)
-                sign = 1.0 if math.sin(w * mid + p) >= 0 else -1.0
-                total += sign / w * (math.cos(w * lo + p) - math.cos(w * hi + p))
-                lo = hi
-            if zero >= b:
-                break
-            k += 1
-        return abs(self.amplitude) * total
+
+        def piece(lo, hi):
+            return 1.0 / w * np.abs(np.cos(w * lo + p) - np.cos(w * hi + p))
+        first = np.ceil((w * a + p) / math.pi)   # first zero at or after a
+        last = np.floor((w * b + p) / math.pi)   # last zero at or before b
+        split = (piece(a, (first * math.pi - p) / w) + (last - first) * (2.0 / w)
+                 + piece((last * math.pi - p) / w, b))
+        return abs(self.amplitude) * np.where(last < first, piece(a, b), split)[()]
 
     def __repr__(self):
         return f"SinusoidChannel({self.amplitude:g}, omega={self.omega:g}, phase={self.phase:g})"
 
 
-class PiecewiseConstantChannel(Channel):
+class PiecewiseConstantChannel(_PiecewiseLinearChannel):
     """Right-continuous step function: value ``values[k]`` holds on
     [breakpoints[k-1], breakpoints[k]), with values[0] before the first
     breakpoint and values[-1] after the last."""
@@ -126,25 +170,7 @@ class PiecewiseConstantChannel(Channel):
             )
         self.breaks = tuple(breaks)
         self.values = tuple(float(v) for v in values)
-
-    def value(self, t):
-        t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.breaks, t, side="right")
-        return np.asarray(self.values, dtype=float)[idx]
-
-    def _piece_integral(self, a, b, magnitude=False):
-        total = 0.0
-        edges = [a] + [t for t in self.breaks if a < t < b] + [b]
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            v = self.values[bisect.bisect_right(self.breaks, lo)]
-            total += (abs(v) if magnitude else v) * (hi - lo)
-        return total
-
-    def increment(self, a, b):
-        return self._piece_integral(a, b)
-
-    def abs_increment(self, a, b):
-        return self._piece_integral(a, b, magnitude=True)
+        super().__init__(self.breaks, self.values, *np.zeros((2, len(values))), self.values)
 
     def breakpoints(self):
         return self.breaks
@@ -153,7 +179,7 @@ class PiecewiseConstantChannel(Channel):
         return f"PiecewiseConstantChannel({len(self.values)} pieces)"
 
 
-class SampledChannel(Channel):
+class SampledChannel(_PiecewiseLinearChannel):
     """Linear interpolation through (time, value) samples, held constant
     outside the sampled range."""
 
@@ -168,36 +194,9 @@ class SampledChannel(Channel):
         values.flags.writeable = False
         self.times = times
         self.samples = values
-
-    def value(self, t):
-        return np.interp(np.asarray(t, dtype=float), self.times, self.samples)
-
-    def _edges(self, a, b):
-        interior = self.times[(self.times > a) & (self.times < b)]
-        return [a, *interior.tolist(), b]
-
-    def increment(self, a, b):
-        # the interpolant is linear on every piece, so trapezoid is exact
-        total = 0.0
-        edges = self._edges(a, b)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            f_lo = float(self.value(lo))
-            f_hi = float(self.value(hi))
-            total += 0.5 * (f_lo + f_hi) * (hi - lo)
-        return total
-
-    def abs_increment(self, a, b):
-        total = 0.0
-        edges = self._edges(a, b)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            f_lo = float(self.value(lo))
-            f_hi = float(self.value(hi))
-            if f_lo * f_hi < 0:
-                root = lo + f_lo / (f_lo - f_hi) * (hi - lo)
-                total += 0.5 * abs(f_lo) * (root - lo) + 0.5 * abs(f_hi) * (hi - root)
-            else:
-                total += 0.5 * (abs(f_lo) + abs(f_hi)) * (hi - lo)
-        return total
+        slopes = np.diff(values) / np.diff(times)
+        super().__init__(times, np.r_[values[0], values], np.r_[0.0, slopes, 0.0],
+                         np.r_[times[0], times], np.r_[values, 0.0])
 
     def breakpoints(self):
         return tuple(self.times.tolist())
@@ -220,20 +219,16 @@ class CatenatedChannel(Channel):
                         self.second.value(np.maximum(t - self.tau, 0.0)))
 
     def increment(self, a, b):
-        total = 0.0
-        if a < self.tau:
-            total += self.first.increment(a, min(b, self.tau))
-        if b > self.tau:
-            total += self.second.increment(max(a - self.tau, 0.0), b - self.tau)
-        return total
+        return self._halves(self.first.increment, self.second.increment, a, b)
 
     def abs_increment(self, a, b):
-        total = 0.0
-        if a < self.tau:
-            total += self.first.abs_increment(a, min(b, self.tau))
-        if b > self.tau:
-            total += self.second.abs_increment(max(a - self.tau, 0.0), b - self.tau)
-        return total
+        return self._halves(self.first.abs_increment, self.second.abs_increment, a, b)
+
+    def _halves(self, first, second, a, b):
+        # each half sees [a, b] clipped to its own time range, empty if disjoint
+        tau = self.tau
+        return (first(np.minimum(a, tau), np.minimum(b, tau))
+                + second(np.maximum(a - tau, 0.0), np.maximum(b - tau, 0.0)))
 
     def breakpoints(self):
         first = [t for t in self.first.breakpoints() if t < self.tau]
@@ -267,12 +262,8 @@ class ContinuousInput:
     def value(self, i: int, t):
         return self.channel(i).value(t)
 
-    def increment(self, i: int, a: float, b: float) -> float:
+    def increment(self, i: int, a, b):
         return self.channel(i).increment(a, b)
-
-    def integral(self, i: int) -> float:
-        """Exact integral of channel i over the whole horizon."""
-        return self.channel(i).increment(0.0, self.T)
 
     def breakpoints(self) -> tuple[float, ...]:
         """Sorted interior non-smooth times across all controlled channels."""
@@ -357,8 +348,7 @@ def discretize(u: ContinuousInput, L: int, rule: str = "exact") -> DiscreteInput
     edges = np.linspace(0.0, u.T, L + 1)
     for i in range(1, u.m + 1):
         if rule == "exact":
-            ch = u.channel(i)
-            values[:, i] = [ch.increment(edges[N], edges[N + 1]) for N in range(L)]
+            values[:, i] = u.increment(i, edges[:-1], edges[1:])
         else:
             nodes = u.value(i, edges)
             values[:, i] = 0.5 * delta * (nodes[:-1] + nodes[1:])
@@ -381,4 +371,4 @@ def l1_norm(u: ContinuousInput) -> float:
     """Channel-wise max of the L1 norms over [0, T] (controlled channels only)."""
     if u.m == 0:
         return 0.0
-    return max(u.channel(i).abs_increment(0.0, u.T) for i in range(1, u.m + 1))
+    return float(max(u.channel(i).abs_increment(0.0, u.T) for i in range(1, u.m + 1)))

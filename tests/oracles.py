@@ -5,12 +5,19 @@ library's graded recursions against.  None of them is on a production path:
   inputs;
 * iterated_sum_partition — S_eta[uhat](N) by enumerating index assignments;
 * one_step_identity_check — the residual of the one-step shift identity
-  that ties the discrete functional to its left-shifted series.
+  that ties the discrete functional to its left-shifted series;
+* scalar_channel and discretize_per_step — each channel kind's increment and
+  absolute-value integrals over one interval per call, and the exact
+  discretization built from them one step at a time: the scalar loops that
+  the channels' array methods replace.
 """
 
+import bisect
 import itertools
 import math
 from typing import Optional, Sequence
+
+import numpy as np
 
 from fliess.algebra import (
     DEFAULT_WORD_CAP,
@@ -28,6 +35,8 @@ from fliess.signals import (
     ContinuousInput,
     DiscreteInput,
     PiecewiseConstantChannel,
+    SampledChannel,
+    SinusoidChannel,
 )
 
 
@@ -138,3 +147,154 @@ def one_step_identity_check(
                 shifted = left_shift((j,), c)
                 rhs += uj * dt_fliess_truncated(shifted, uhat.prefix(N + 1), J - 1)
     return abs(lhs - rhs)
+
+
+# ---------------------------------------------------------------------------
+# channel integrals one interval at a time
+# ---------------------------------------------------------------------------
+
+class _ScalarConstant:
+    def __init__(self, ch: ConstantChannel):
+        self.level = ch.level
+
+    def increment(self, a, b):
+        return self.level * (b - a)
+
+    def abs_increment(self, a, b):
+        return abs(self.level) * (b - a)
+
+
+class _ScalarSinusoid:
+    def __init__(self, ch: SinusoidChannel):
+        self.amplitude, self.omega, self.phase = ch.amplitude, ch.omega, ch.phase
+
+    def increment(self, a, b):
+        if self.omega == 0.0:
+            return self.amplitude * math.sin(self.phase) * (b - a)
+        w, p = self.omega, self.phase
+        return self.amplitude / w * (math.cos(w * a + p) - math.cos(w * b + p))
+
+    def abs_increment(self, a, b):
+        if self.omega == 0.0:
+            return abs(self.amplitude * math.sin(self.phase)) * (b - a)
+        # integrate |sin| piece by piece between its zeros (w t + p = k pi)
+        w, p = abs(self.omega), self.phase if self.omega > 0 else -self.phase
+        total = 0.0
+        lo = a
+        k = math.ceil((w * a + p) / math.pi)
+        while True:
+            zero = (k * math.pi - p) / w
+            hi = min(zero, b)
+            if hi > lo:
+                # sign of sin on (lo, hi) is the sign at the midpoint
+                mid = 0.5 * (lo + hi)
+                sign = 1.0 if math.sin(w * mid + p) >= 0 else -1.0
+                total += sign / w * (math.cos(w * lo + p) - math.cos(w * hi + p))
+                lo = hi
+            if zero >= b:
+                break
+            k += 1
+        return abs(self.amplitude) * total
+
+
+class _ScalarPiecewiseConstant:
+    def __init__(self, ch: PiecewiseConstantChannel):
+        self.breaks, self.values = ch.breaks, ch.values
+
+    def _piece_integral(self, a, b, magnitude=False):
+        total = 0.0
+        edges = [a] + [t for t in self.breaks if a < t < b] + [b]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            v = self.values[bisect.bisect_right(self.breaks, lo)]
+            total += (abs(v) if magnitude else v) * (hi - lo)
+        return total
+
+    def increment(self, a, b):
+        return self._piece_integral(a, b)
+
+    def abs_increment(self, a, b):
+        return self._piece_integral(a, b, magnitude=True)
+
+
+class _ScalarSampled:
+    def __init__(self, ch: SampledChannel):
+        self.times, self.samples = ch.times, ch.samples
+
+    def value(self, t):
+        return np.interp(np.asarray(t, dtype=float), self.times, self.samples)
+
+    def _edges(self, a, b):
+        interior = self.times[(self.times > a) & (self.times < b)]
+        return [a, *interior.tolist(), b]
+
+    def increment(self, a, b):
+        # the interpolant is linear on every piece, so trapezoid is exact
+        total = 0.0
+        edges = self._edges(a, b)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            f_lo = float(self.value(lo))
+            f_hi = float(self.value(hi))
+            total += 0.5 * (f_lo + f_hi) * (hi - lo)
+        return total
+
+    def abs_increment(self, a, b):
+        total = 0.0
+        edges = self._edges(a, b)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            f_lo = float(self.value(lo))
+            f_hi = float(self.value(hi))
+            if f_lo * f_hi < 0:
+                root = lo + f_lo / (f_lo - f_hi) * (hi - lo)
+                total += 0.5 * abs(f_lo) * (root - lo) + 0.5 * abs(f_hi) * (hi - root)
+            else:
+                total += 0.5 * (abs(f_lo) + abs(f_hi)) * (hi - lo)
+        return total
+
+
+class _ScalarCatenated:
+    def __init__(self, ch: CatenatedChannel):
+        self.first, self.second = scalar_channel(ch.first), scalar_channel(ch.second)
+        self.tau = ch.tau
+
+    def increment(self, a, b):
+        total = 0.0
+        if a < self.tau:
+            total += self.first.increment(a, min(b, self.tau))
+        if b > self.tau:
+            total += self.second.increment(max(a - self.tau, 0.0), b - self.tau)
+        return total
+
+    def abs_increment(self, a, b):
+        total = 0.0
+        if a < self.tau:
+            total += self.first.abs_increment(a, min(b, self.tau))
+        if b > self.tau:
+            total += self.second.abs_increment(max(a - self.tau, 0.0), b - self.tau)
+        return total
+
+
+_SCALAR = {
+    ConstantChannel: _ScalarConstant,
+    SinusoidChannel: _ScalarSinusoid,
+    PiecewiseConstantChannel: _ScalarPiecewiseConstant,
+    SampledChannel: _ScalarSampled,
+    CatenatedChannel: _ScalarCatenated,
+}
+
+
+def scalar_channel(ch: Channel):
+    """The channel with ``increment(a, b)`` and ``abs_increment(a, b)`` for
+    one interval per call, each written as its own loop over the pieces."""
+    return _SCALAR[type(ch)](ch)
+
+
+def discretize_per_step(u: ContinuousInput, L: int) -> np.ndarray:
+    """The values of ``discretize(u, L, rule="exact")``, one scalar increment
+    call per step and channel."""
+    values = np.empty((L, u.m + 1), dtype=float)
+    values[:, 0] = u.T / L
+    edges = np.linspace(0.0, u.T, L + 1)
+    for i in range(1, u.m + 1):
+        ch = scalar_channel(u.channel(i))
+        values[:, i] = [ch.increment(edges[N], edges[N + 1]) for N in range(L)]
+    return values

@@ -171,7 +171,7 @@ def test_criterion_7_one_step_identity(rng):
 def _truncated_output(cfg):
     """y^J = sum_{j<=J} (c, x1^j) z^j / j!: the continuous output truncated
     at word length J, for a constant input with running integral z."""
-    z = cfg.input.integral(1)
+    z = cfg.input.increment(1, 0.0, cfg.T)
     return math.fsum(
         cfg.series.coefficient((1,) * j) * z**j / math.factorial(j)
         for j in range(cfg.J + 1)

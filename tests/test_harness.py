@@ -526,6 +526,79 @@ def test_cli_rejects_bad_numbers_exit_2(tmp_path, doc_mutation, field, capsys):
     assert f"{field} must be" in captured.err
 
 
+REP_SYSTEM = {"representation": {"matrices": [[[0.0]], [[1.0]]], "gamma": [1.0], "lam": [1.0],
+                                  "growth": {"kind": "GC"}}}
+POLY_SYSTEM = {"polynomial": {"m": 1, "terms": [{"word": [1], "coeff": 1.0}],
+                              "growth": {"kind": "GC"}}}
+
+
+@pytest.mark.parametrize(
+    "doc_mutation, message",
+    [
+        ({"label": math.nan}, "label must be a str"),
+        ({"label": 3}, "label must be a str"),
+        ({"include_realization": math.nan}, "include_realization must be a bool"),
+        ({"include_realization": 1}, "include_realization must be a bool"),
+        ({"system": {"polynomial": dict(POLY_SYSTEM["polynomial"], label=math.nan)}},
+         "system.polynomial.label must be a str"),
+        ({"system": {"representation": dict(REP_SYSTEM["representation"],
+                                            support_letters=[math.nan])}},
+         "support letter nan outside"),
+        ({"system": {"polynomial": dict(POLY_SYSTEM["polynomial"],
+                                        terms=[{"word": [math.nan], "coeff": 1.0}])}},
+         "letter nan outside"),
+    ],
+)
+def test_cli_rejects_non_numbers_in_typed_fields_exit_2(tmp_path, doc_mutation, message, capsys):
+    doc = json.loads(json.dumps(BASE_DOC))
+    doc.update(doc_mutation)
+    assert cli.main(["run", write_doc(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+GC_800 = {"system": {"builtin": "gc_geometric"},
+          "input": {"channels": [{"kind": "constant", "level": 800.0}]},
+          "T": 1.0, "L": 20, "J": 4}
+
+
+@pytest.mark.parametrize("L", [20, 2000])
+@pytest.mark.parametrize("command, message", [("run", "e_hat column: e^s_hat overflows"),
+                                              ("bounds", "e_hat column: e^s_hat overflows"),
+                                              ("trajectory", "y = e^z overflows")])
+def test_cli_gc_overflow_exits_2_naming_the_column(tmp_path, L, command, message, capsys):
+    # e^800 overflows double precision: in e^{s_hat} and in the exact output
+    assert cli.main([command, write_doc(tmp_path, dict(GC_800, L=L))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+
+
+def test_cli_gc_tail_overflow_exits_2(tmp_path, capsys):
+    # whole periods per step: every increment is ~0, so s_hat is small, but
+    # s = ||u||_1 = 4000/pi and the tail sum overflows
+    doc = dict(GC_800, input={"channels": [{"kind": "sinusoid", "amplitude": 2000.0,
+                                            "omega": 40.0 * math.pi}]})
+    assert cli.main(["bounds", write_doc(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: e_tail column: e^s overflows at s = 1273.24")
+
+
+def test_analytic_curve_makes_one_increment_call(monkeypatch):
+    calls = []
+    for L, resolution in ((4, 2), (400, 500)):
+        cfg = parse_config(dict(BASE_DOC, L=L))
+        ch = cfg.input.channels[0]
+        monkeypatch.setattr(ch, "increment",
+                            lambda a, b, f=ch.increment: calls.append(np.shape(b)) or f(a, b))
+        calls.clear()
+        rows = emit_trajectory(cfg, resolution)
+        # one call for the increments, one for the curve at every time
+        assert calls == [(L,), (len(rows) - 1,)]
+
+
 def test_cli_accepts_finite_numbers_given_as_strings(tmp_path, capsys):
     path = write_doc(tmp_path, BASE_DOC)
     assert cli.main(["run", path]) == 0

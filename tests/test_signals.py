@@ -26,6 +26,7 @@ from fliess.signals import (
 )
 
 from conftest import random_pc_input
+from oracles import discretize_per_step, scalar_channel
 
 
 def quad_increment(f, a, b):
@@ -115,6 +116,99 @@ def test_catenated_channel_switches_at_tau():
     )
 
 
+ARRAY_CHANNELS = {
+    "constant": ConstantChannel(-1.7),
+    "sinusoid": SinusoidChannel(1.3, 23.0, phase=0.4),
+    "sinusoid_negative_omega": SinusoidChannel(-0.8, -17.0, phase=2.1),
+    "sinusoid_zero_omega": SinusoidChannel(2.0, 0.0, phase=-0.3),
+    "piecewise_constant": PiecewiseConstantChannel([0.1, 0.35, 0.5, 0.9],
+                                                   [0.4, -1.2, 2.0, 0.0, -0.6]),
+    # samples inside [0.2, 0.8], so intervals also reach the held ends
+    "sampled": SampledChannel([0.2, 0.3, 0.41, 0.55, 0.6, 0.72, 0.8],
+                              [0.5, -1.0, 0.75, 0.2, -0.3, 1.5, -0.9]),
+    "catenated": CatenatedChannel(
+        SampledChannel([0.0, 0.2, 0.45], [1.0, -0.5, 0.3]), SinusoidChannel(0.9, 11.0), 0.45),
+    "catenated_steps": CatenatedChannel(
+        PiecewiseConstantChannel([0.3], [-1.0, 2.0]), ConstantChannel(0.5), 0.6),
+}
+
+
+def _random_intervals(rng, ch, n=600):
+    """Interval ends [a, b]: widths from 1e-6 to 1 anywhere in [-0.1, 1.1],
+    ends exactly on the channel's knots (for a catenation, on tau), and a == b."""
+    width = 10.0 ** rng.uniform(-6.0, 0.0, n)
+    a = rng.uniform(-0.1, 1.1, n)
+    b = a + width
+    knots = np.array(ch.breakpoints())
+    if knots.size:
+        a[:100] = rng.choice(knots, 100)
+        b[:100] = a[:100] + width[:100]
+        b[100:200] = rng.choice(knots, 100)
+        a[100:200] = b[100:200] - width[100:200]
+    b[200:230] = a[200:230]
+    return a, b
+
+
+@pytest.mark.parametrize("kind", sorted(ARRAY_CHANNELS))
+def test_array_integrals_match_the_scalar_oracle(kind, rng):
+    ch = ARRAY_CHANNELS[kind]
+    a, b = _random_intervals(rng, ch)
+    inc, mag = ch.increment(a, b), ch.abs_increment(a, b)
+    assert inc.shape == mag.shape == a.shape
+    oracle = scalar_channel(ch)
+    want_inc = np.array([oracle.increment(x, y) for x, y in zip(a, b)])
+    want_mag = np.array([oracle.abs_increment(x, y) for x, y in zip(a, b)])
+    assert np.all(np.abs(inc - want_inc) <= 1e-15 * want_mag)
+    assert np.all(np.abs(mag - want_mag) <= 1e-14 * want_mag)
+    # scalar ends give the same numbers as the array elements
+    for k in (0, 150, 210, 400):
+        assert ch.increment(float(a[k]), float(b[k])) == inc[k]
+        assert ch.abs_increment(float(a[k]), float(b[k])) == mag[k]
+
+
+@pytest.mark.parametrize("L", [1, 7, 64, 1000])
+def test_discretize_exact_is_the_per_step_oracle_bitwise(L, rng):
+    u = random_pc_input(rng, m=2, T=0.8, max_pieces=6)
+    # up to 41 pieces in one step: summed in time order, as one loop would
+    many = PiecewiseConstantChannel(np.linspace(0.01, 0.79, 40), rng.uniform(-1.0, 1.0, 41))
+    u = ContinuousInput([ConstantChannel(-0.3), *u.channels, many,
+                         ARRAY_CHANNELS["catenated_steps"]], 0.8)
+    assert np.array_equal(discretize(u, L).values, discretize_per_step(u, L))
+
+
+def test_sampled_channel_is_exact_at_its_samples(rng):
+    times = np.sort(rng.uniform(0.0, 1.0, 30))
+    samples = rng.uniform(-1.0, 1.0, 30)
+    ch = SampledChannel(times, samples)
+    assert np.array_equal(ch.value(times), samples)
+    # trapezoid on the samples themselves, with no rounding of the line in between
+    assert np.array_equal(ch.increment(times[:-1], times[1:]),
+                          0.5 * (samples[:-1] + samples[1:]) * np.diff(times))
+
+
+def test_large_batches_of_intervals_are_split(rng):
+    # 1200 intervals against 4001 pieces exceed the work-array bound
+    ch = SampledChannel(np.linspace(0.0, 1.0, 4000), rng.uniform(-1.0, 1.0, 4000))
+    a = rng.uniform(0.0, 1.0, (40, 30))
+    b = a + rng.uniform(0.0, 0.01, a.shape)
+    for method in (ch.increment, ch.abs_increment):
+        whole = method(a, b)
+        assert whole.shape == a.shape
+        assert np.array_equal(whole, [method(x, y) for x, y in zip(a, b)])
+
+
+def test_discretize_makes_one_increment_call_per_channel(monkeypatch):
+    u = ContinuousInput([ARRAY_CHANNELS[k] for k in ("sinusoid", "sampled", "catenated")], 1.0)
+    calls = []
+    for ch in u.channels:
+        monkeypatch.setattr(ch, "increment",
+                            lambda a, b, f=ch.increment: calls.append(np.shape(a)) or f(a, b))
+    for L in (3, 3000):
+        calls.clear()
+        discretize(u, L)
+        assert calls == [(L,)] * 3
+
+
 # ---------------------------------------------------------------------------
 # continuous inputs
 # ---------------------------------------------------------------------------
@@ -125,7 +219,7 @@ def test_continuous_input_basics():
     assert u.T == 0.5
     assert u.value(0, 0.3) == 1.0              # drift channel
     assert u.increment(0, 0.1, 0.4) == pytest.approx(0.3)
-    assert u.integral(1) == pytest.approx((1.0 - math.cos(10.0)) / 20.0)
+    assert u.increment(1, 0.0, u.T) == pytest.approx((1.0 - math.cos(10.0)) / 20.0)
     assert u.label == "sin(20t)"
 
 
@@ -153,7 +247,7 @@ def test_constant_input_builders():
     assert u.value(1, 0.2) == 4.0
     v = constant_input([1.0, -2.0], 1.0)
     assert v.m == 2
-    assert v.integral(2) == pytest.approx(-2.0)
+    assert v.increment(2, 0.0, v.T) == pytest.approx(-2.0)
 
 
 def test_catenate_inputs():
