@@ -59,11 +59,18 @@ class Alphabet:
     def letters(self) -> range:
         return range(self.m + 1)
 
+    def check_letter(self, letter, what: str = "letter") -> None:
+        """Raise DomainError unless ``letter`` is an integer in 0..m."""
+        if not 0 <= letter <= self.m:  # a NaN letter fails here too
+            raise DomainError(f"{what} {letter} outside alphabet with m={self.m}")
+        if isinstance(letter, bool) or not isinstance(letter, (int, np.integer)):
+            raise DomainError(f"{what} {letter!r} is not an integer")
+
     def check_word(self, w: Word) -> Word:
         w = tuple(w)
         for letter in w:
-            if not 0 <= letter <= self.m:
-                raise DomainError(f"letter {letter} outside alphabet with m={self.m}")
+            if type(letter) is not int or not 0 <= letter <= self.m:  # the common case stays cheap
+                self.check_letter(letter)
         return w
 
 
@@ -281,8 +288,7 @@ class SeriesSpec:
         )
         if self.support_letters is not None:
             for letter in self.support_letters:
-                if not 0 <= letter <= alphabet.m:
-                    raise DomainError(f"support letter {letter} outside alphabet")
+                alphabet.check_letter(letter, "support letter")
         self.label = label
 
     def coefficient(self, w: Word) -> float:

@@ -160,7 +160,12 @@ def _exp_tail(x: float, J: int) -> float:
     accuracy (the e^x - partial_sum form would cancel catastrophically)."""
     if x == 0.0:
         return 0.0
-    t = x ** (J + 1) / math.factorial(J + 1)
+    try:
+        t = x ** (J + 1) / math.factorial(J + 1)
+    except OverflowError:  # x^(J+1) or (J+1)! beyond the largest double
+        t = math.exp((J + 1) * math.log(x) - math.lgamma(J + 2))
+    if t == 0.0:  # x < J + 1 here, so the terms only fall from one that underflows
+        return 0.0
     terms = []
     j = J + 1
     while True:

@@ -22,11 +22,17 @@ The continuous reference is classical RK4 on the bilinear system.  Its field
 is linear in z, so each step is a product z' = Phi_k z with a one-step
 propagator Phi_k that is algebraically the staged k1..k4 update.
 
-Both run on time blocks of at most about _BLOCK_FLOATS floats per stacked
-array: the matrices of a block (increments B(N) with one ``strict_norm``
-check for the whole stack, or field matrices and propagators) come from
-batched numpy calls, and the Python loop does one solve or one matvec per
-step.  Resolvent steps are still solved, never inverted.
+All three recursions are linear maps z_{k+1} = P_k z_k and run on time
+blocks of at most about _BLOCK_FLOATS floats per stacked array.  A block's
+one-step propagators come from batched numpy calls: I - B(N) backward, the
+RK4 products, and forward the resolvents (I - B(N))^{-1} from one batched
+solve, after one ``strict_norm`` check for the whole stack.  The block's
+states then come from _chain, which multiplies the propagators pairwise in
+about log2(steps) batched levels instead of one matvec per step.  Forward,
+the states are checked afterwards: ``solve_with_residual`` applies its
+residual rule to every step of the block at once, and a block that fails
+it, or whose solve fails or whose states are not finite, reruns one
+resolvent solve per step, so the error names the failing step.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from .signals import ContinuousInput, DiscreteInput
 
 # floats per stacked (steps, dim, dim) array in one time block: keeps a
 # block's memory small and flat in the horizon
-_BLOCK_FLOATS = 2 ** 12
+_BLOCK_FLOATS = 2 ** 14
 # the ``strict_norm`` policy needs ||sum_j A_j uhat_j||_inf below this
 _NORM_THRESHOLD = 1.0 - 1e-9
 # RK4 blocks whose stage bound stays below this cannot overflow
@@ -107,6 +113,23 @@ def _block_steps(dim: int) -> int:
     return max(1, _BLOCK_FLOATS // max(1, dim * dim))
 
 
+def _chain(P: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The states z_1..z_n (rows) of z_{k+1} = P_k z_k from z_0 = z, by
+    odd-even reduction: the pair products P_{2i+1} P_{2i} carry z_{2i} to
+    z_{2i+2}, so one batched matmul halves the stack and the recursion yields
+    the even states; one batched matvec then fills in the odd ones."""
+    n = len(P)
+    states = np.empty((n, len(z)))
+    if n == 0:
+        return states
+    half = n // 2
+    states[0] = P[0] @ z
+    if half:
+        states[1::2] = _chain(P[1::2] @ P[0:2 * half:2], z)
+        states[2::2] = np.einsum("kij,kj->ki", P[2::2], states[1:n - 1:2])
+    return states
+
+
 def _step_error(cls, message: str, step: Optional[int]):
     return cls(message if step is None else f"step {step}: {message}", step)
 
@@ -129,6 +152,12 @@ def _check_norms(sys: StateAffineSystem, B: np.ndarray, first_step: Optional[int
         )
 
 
+def _residual_ok(residual, scale):
+    """The ``solve_with_residual`` rule, elementwise: a step from z passes if
+    its residual stays below 1e-10 * ||z||; a NaN residual fails."""
+    return residual <= 1e-10 * np.maximum(scale, 1e-300)
+
+
 def _solve(sys: StateAffineSystem, matrix: np.ndarray, z: np.ndarray, step: Optional[int] = None) -> np.ndarray:
     """Solve matrix @ z' = z; under ``solve_with_residual`` also demand a
     residual below 1e-10 * ||z||.  Failures raise SingularTransition."""
@@ -139,7 +168,7 @@ def _solve(sys: StateAffineSystem, matrix: np.ndarray, z: np.ndarray, step: Opti
     if sys.invertibility_policy == "solve_with_residual":
         residual = float(np.max(np.abs(matrix @ z_next - z), initial=0.0))
         scale = float(np.max(np.abs(z), initial=0.0))
-        if not residual <= 1e-10 * max(scale, 1e-300):  # a NaN residual fails too
+        if not _residual_ok(residual, scale):
             raise _step_error(
                 SingularTransition,
                 f"resolvent solve residual {residual:g} too large (state norm {scale:g})",
@@ -182,27 +211,55 @@ def _step_count(sys: StateAffineSystem, uhat: DiscreteInput, N_f: Optional[int])
     return N_f
 
 
+def _forward_block(sys: StateAffineSystem, M: np.ndarray, z: np.ndarray, first_step: int) -> np.ndarray:
+    """The states after each step of one time block of the forward recursion
+    from z, where M stacks the block's I - B(N) from step ``first_step`` on.
+
+    The resolvents come from one batched solve against I and the states
+    from _chain.  If that solve fails, a state is not finite, or under
+    ``solve_with_residual`` some step misses the residual rule, the block
+    reruns with one solve per step, which raises at the failing step."""
+    # overflow is detected and handled below, not propagated as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            states = _chain(np.linalg.inv(M), z)
+        except np.linalg.LinAlgError:
+            states = None
+        ok = states is not None and bool(np.isfinite(states).all())
+        if ok and sys.invertibility_policy == "solve_with_residual":
+            before = np.vstack([z, states[:-1]])
+            residual = np.abs(np.einsum("kij,kj->ki", M, states) - before).max(axis=-1)
+            ok = bool(_residual_ok(residual, np.abs(before).max(axis=-1)).all())
+    if ok:
+        return states
+    states = np.empty((len(M), len(z)))
+    for k in range(len(M)):
+        z = states[k] = _solve(sys, M[k], z, step=first_step + k)
+    return states
+
+
 def simulate_forward(sys: StateAffineSystem, uhat: DiscreteInput, N_f: Optional[int] = None) -> Trajectory:
     """Run the forward recursion from z(0) = gamma for N_f steps.
 
     The output sequence equals the untruncated discrete-time functional of
     the represented series at every step.  Steps run in time blocks: the
     increment matrices B(N) of a block are built in one call and pass the
-    ``strict_norm`` test together, then each step solves (I - B(N)) z' = z,
-    so the resolvent is still solved, never inverted.  Step failures
-    propagate with the failing step index attached.
+    ``strict_norm`` test together, their resolvents (I - B(N))^{-1} come from
+    one batched solve, and the states from pairwise products of those
+    resolvents (_chain).  The ``solve_with_residual`` rule is checked on the
+    resulting states, step by step.  A block whose solve or residual fails
+    reruns one solve per step, so step failures propagate with the failing
+    step index attached.
     """
     N_f = _step_count(sys, uhat, N_f)
     states = np.empty((N_f + 1, sys.dim))
     states[0] = sys.rep.gamma
     block = _block_steps(sys.dim)
     for start in range(0, N_f, block):
-        B = sys.rep.letter_sum(uhat.values[start:min(start + block, N_f)])
+        stop = min(start + block, N_f)
+        B = sys.rep.letter_sum(uhat.values[start:stop])
         _check_norms(sys, B, first_step=start + 1)
-        M = np.eye(sys.dim) - B
-        for k in range(len(M)):
-            n = start + k
-            states[n + 1] = _solve(sys, M[k], states[n], step=n + 1)
+        states[start + 1:stop + 1] = _forward_block(sys, np.eye(sys.dim) - B, states[start], start + 1)
     return Trajectory(states, states @ sys.rep.lam)
 
 
@@ -213,7 +270,8 @@ def simulate_backward(
     terminal_state: Optional[np.ndarray] = None,
 ) -> Trajectory:
     """Run the backward recursion z(N) = (I - sum_j A_j uhat_j(N+1)) z(N+1)
-    down from step N_f, one matvec per step over the B(N) of a time block.
+    down from step N_f.  Each time block's maps I - B(N) come from one call
+    and its states from their pairwise products (_chain), in reversed order.
 
     ``terminal_state`` defaults to gamma (the reversed-time initial data);
     passing a forward trajectory's final state instead reproduces that
@@ -229,10 +287,8 @@ def simulate_backward(
     block = _block_steps(sys.dim)
     for stop in range(N_f, 0, -block):
         start = max(stop - block, 0)
-        B = sys.rep.letter_sum(uhat.values[start:stop])
-        for n in range(stop - 1, start - 1, -1):
-            z = states[n + 1]
-            states[n] = z - B[n - start] @ z
+        M = np.eye(sys.dim) - sys.rep.letter_sum(uhat.values[start:stop])
+        states[start:stop] = _chain(M[::-1], states[stop])[::-1]
     return Trajectory(states, states @ sys.rep.lam)
 
 
@@ -254,13 +310,11 @@ def _rk4_propagators(F_nodes: np.ndarray, F_mid: np.ndarray, h: float) -> np.nda
     return Phi
 
 
-def _stages_stay_finite(F_nodes: np.ndarray, F_mid: np.ndarray, h: float,
-                        z_start: np.ndarray, block_states: np.ndarray) -> bool:
-    """Whether no classical RK4 stage of a block can overflow.  With a the
-    largest induced infinity norm of the block's field matrices, every
+def _stages_stay_finite(a: float, h: float, z_start: np.ndarray, block_states: np.ndarray) -> bool:
+    """Whether no classical RK4 stage of a block can overflow.  With a a
+    bound on the induced infinity norm of the block's field matrices, every
     intermediate of a staged step from z is at most 6 (1 + a)(1 + h a)^4 |z|;
     the factor 8 below leaves room for rounding."""
-    a = np.max([np.abs(F).sum(axis=-1).max(initial=0.0) for F in (F_nodes, F_mid)])
     z_max = np.max([np.abs(z).max(initial=0.0) for z in (z_start, block_states)])
     return bool(z_max * 8.0 * (1.0 + a) * (1.0 + h * a) ** 4 < _OVERFLOW_GUARD)
 
@@ -299,8 +353,10 @@ def ct_bilinear_simulate(
     The field is linear in z, so each RK4 step is a product z' = Phi_k z
     with a one-step propagator Phi_k that is algebraically the staged
     k1..k4 update.  Steps run in time blocks: the propagators of a block
-    come from batched matrix products, and the loop does one matvec per
-    step.
+    come from batched matrix products, and the block's states from their
+    pairwise products (_chain).  A block whose stage bound could overflow
+    reruns staged, so NonFinite names the step where the classical update
+    fails.
     """
     if rep.m != u.m:
         raise DomainError(f"representation has m={rep.m} but input has m={u.m}")
@@ -315,6 +371,8 @@ def ct_bilinear_simulate(
     stage_times = np.linspace(0.0, T, 2 * steps + 1)
     weights = np.column_stack([np.ones_like(stage_times)]
                               + [u.value(j, stage_times) for j in range(1, rep.m + 1)])
+    # ||sum_j A_j w_j||_inf <= sum_j |w_j| ||A_j||_inf bounds each field matrix
+    letter_norms = np.abs(rep.matrices).sum(axis=-1).max(axis=-1)
     z = np.array(rep.gamma, dtype=float)
     outputs = np.empty(steps + 1)
     outputs[0] = float(rep.lam @ z)
@@ -326,18 +384,16 @@ def ct_bilinear_simulate(
             F_nodes = rep.letter_sum(weights[2 * start:2 * stop + 1:2])
             F_mid = rep.letter_sum(weights[2 * start + 1:2 * stop:2])
             Phi = _rk4_propagators(F_nodes, F_mid, h)
-            block_states = np.empty((stop - start, rep.dim))
-            z_start = z
-            for k in range(stop - start):
-                z = block_states[k] = Phi[k] @ z
-            if not _stages_stay_finite(F_nodes, F_mid, h, z_start, block_states):
+            block_states = _chain(Phi, z)
+            a = (np.abs(weights[2 * start:2 * stop + 1]) @ letter_norms).max()
+            if not _stages_stay_finite(a, h, z, block_states):
                 # near overflow the stages can overflow a step before the
                 # product does: rerun the block staged, so the reported step
                 # is the one where the classical update first fails
-                bad = _rk4_staged(F_nodes, F_mid, h, z_start, block_states)
+                bad = _rk4_staged(F_nodes, F_mid, h, z, block_states)
                 if bad is not None:
                     raise NonFinite(f"state non-finite at t = {times[start + bad + 1]:g}")
-                z = block_states[-1]
+            z = block_states[-1]
             outputs[start + 1:stop + 1] = block_states @ rep.lam
     return times, outputs
 

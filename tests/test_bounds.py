@@ -206,6 +206,16 @@ def test_gc_never_divergent_in_s():
     assert math.isfinite(r.e_hat) and math.isfinite(r.e_tail)
 
 
+@pytest.mark.parametrize("J, s", [(150, 500.0), (169, 300.0), (170, 300.0), (400, 300.0), (400, 10.0)])
+def test_gc_tail_past_the_factorial_range(J, s):
+    # (J+1)! or s^(J+1) overflows a double here; the tail itself does not
+    b = BoundInputs(K=1, M=1, m=0, L=10 * J, J=J, norm_uhat=0.01, Rbar=s)
+    tail = gc_bounds(b).e_tail
+    expected = math.exp(s) * special.gammainc(J + 1, s)
+    assert math.isfinite(tail)
+    assert tail == pytest.approx(expected, rel=1e-9, abs=1e-300)
+
+
 def test_gc_simplified_dominates():
     assert gc_simplified(TABLE_CASE_GC) >= gc_bounds(TABLE_CASE_GC).e_hat
     # and coincides in the deep-truncation limit where Q -> 1

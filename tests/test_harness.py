@@ -547,6 +547,18 @@ POLY_SYSTEM = {"polynomial": {"m": 1, "terms": [{"word": [1], "coeff": 1.0}],
         ({"system": {"polynomial": dict(POLY_SYSTEM["polynomial"],
                                         terms=[{"word": [math.nan], "coeff": 1.0}])}},
          "letter nan outside"),
+        ({"system": {"representation": dict(REP_SYSTEM["representation"],
+                                            support_letters=[0.5])}},
+         "support letter 0.5 is not an integer"),
+        ({"system": {"polynomial": dict(POLY_SYSTEM["polynomial"],
+                                        terms=[{"word": [0.5], "coeff": 1.0}])}},
+         "letter 0.5 is not an integer"),
+        ({"system": {"polynomial": dict(POLY_SYSTEM["polynomial"],
+                                        terms=[{"word": [1.0], "coeff": 1.0}])}},
+         "letter 1.0 is not an integer"),
+        ({"system": {"polynomial": dict(POLY_SYSTEM["polynomial"],
+                                        terms=[{"word": [True], "coeff": 1.0}])}},
+         "letter True is not an integer"),
     ],
 )
 def test_cli_rejects_non_numbers_in_typed_fields_exit_2(tmp_path, doc_mutation, message, capsys):
@@ -584,6 +596,17 @@ def test_cli_gc_tail_overflow_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: e_tail column: e^s overflows at s = 1273.24")
+
+
+@pytest.mark.parametrize("command", ["run", "bounds"])
+def test_cli_gc_tail_past_the_factorial_range(tmp_path, command, capsys):
+    # J + 1 = 401: neither s^(J+1) nor (J+1)! fits in a double
+    doc = dict(GC_800, input={"channels": [{"kind": "constant", "level": 5.0}]},
+               T=2.0, L=50, J=400)
+    assert cli.main([command, write_doc(tmp_path, doc)]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    e_tail = float(row.split(",")[header.split(",").index("e_tail")])
+    assert math.isfinite(e_tail)
 
 
 def test_analytic_curve_makes_one_increment_call(monkeypatch):

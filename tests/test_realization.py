@@ -17,6 +17,7 @@ from fliess.operators import iterated_sum_trajectory
 from fliess.realization import (
     NonFinite,
     _block_steps,
+    _chain,
     PolicyViolation,
     SingularTransition,
     StateAffineSystem,
@@ -204,6 +205,49 @@ def test_singular_step_reported_by_simulate_forward():
     assert str(exc.value).startswith(f"step {N}: ")
 
 
+def test_residual_failure_reported_by_simulate_forward():
+    # I - B(N) is nearly singular at one step of the second time block: the
+    # block's states miss the residual rule, and the step rerun names it
+    A1 = np.full((2, 2), 0.5)
+    rep = LinearRepresentation([np.zeros((2, 2)), A1], np.array([1.0, 0.3]), np.array([1.0, 1.0]))
+    N = _block_steps(2) + 7
+    L = N + 5
+    values = np.column_stack([np.full(L, 1e-3), np.full(L, 1e-4)])
+    values[N - 1, 1] = 1.0 - 1e-9
+    uhat = DiscreteInput(m=1, L=L, delta=1e-3, values=values)
+    sys = StateAffineSystem(rep, invertibility_policy="solve_with_residual")
+    with pytest.raises(SingularTransition) as exc:
+        simulate_forward(sys, uhat)
+    assert exc.value.step == N
+    assert str(exc.value).startswith(f"step {N}: resolvent solve residual ")
+
+
+@pytest.mark.parametrize("policy", ["strict_norm", "solve_with_residual"])
+def test_forward_reruns_when_products_overflow(policy):
+    # resolvents diag(10, 1/1.9) from gamma = (0, 1): the states decay, but
+    # the pairwise products of 512 steps hold 10^512, and inf * 0 is NaN
+    rep = LinearRepresentation([np.zeros((2, 2)), np.diag([1.0, -1.0])],
+                               np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+    L = 1000
+    values = np.column_stack([np.full(L, 1e-3), np.full(L, 0.9)])
+    uhat = DiscreteInput(m=1, L=L, delta=1e-3, values=values)
+    sys = StateAffineSystem(rep, invertibility_policy=policy)
+    states = simulate_forward(sys, uhat).states
+    assert np.all(states[:, 0] == 0.0)
+    assert states[:, 1] == pytest.approx(1.9 ** -np.arange(L + 1), rel=1e-12, abs=0.0)
+
+
+def test_ct_bilinear_reruns_when_products_overflow():
+    # the field diag(2000, -1) from gamma = (0, 1): the first state stays 0,
+    # but the pairwise RK4 products of 1024 steps pass e^1000
+    rep = LinearRepresentation([np.diag([2000.0, -1.0]), np.zeros((2, 2))],
+                               np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+    u = constant_input(0.0, 1.0)
+    times, outputs = ct_bilinear_simulate(rep, u, steps=2000)
+    assert np.array_equal(outputs, staged_rk4(rep, u, 1.0, 2000)[1])
+    assert outputs[-1] == pytest.approx(math.exp(-1.0), rel=1e-12)
+
+
 @pytest.mark.parametrize("policy, error", [("strict_norm", PolicyViolation),
                                            ("solve_with_residual", SingularTransition)])
 def test_nan_increment_fails_both_policies(policy, error):
@@ -221,13 +265,32 @@ def test_nan_increment_fails_both_policies(policy, error):
         forward_step(sys, np.ones(1), values[1])
 
 
+@pytest.mark.parametrize("dim", [1, 3, 8])
+def test_chain_matches_sequential_matvecs(rng, dim):
+    # every odd/even split of the pairwise reduction, and the empty stack
+    for n in range(71):
+        P = rng.uniform(-1, 1, (n, dim, dim)) / dim + np.eye(dim)
+        z = rng.uniform(-1, 1, dim)
+        states = _chain(P, z)
+        assert states.shape == (n, dim)
+        expected = []
+        for k in range(n):
+            z = P[k] @ z
+            expected.append(z)
+        expected = np.array(expected).reshape(n, dim)
+        scale = max(1.0, float(np.abs(expected).max(initial=0.0)))
+        assert np.max(np.abs(states - expected), initial=0.0) <= 1e-13 * scale, n
+
+
+@pytest.mark.parametrize("policy", ["strict_norm", "solve_with_residual"])
 @pytest.mark.parametrize("n, L_blocks", [(1, 1.5), (3, 2.2), (8, 3.4)])
-def test_simulate_matches_step_loops(rng, n, L_blocks):
+def test_simulate_matches_step_loops(rng, n, L_blocks, policy):
     # oracle: the public one-step maps, applied one step at a time
     L = int(L_blocks * _block_steps(n))
     mats = [rng.uniform(-1, 1, (n, n)) / n for _ in range(3)]
     sys = StateAffineSystem(
-        LinearRepresentation(mats, rng.uniform(-1, 1, n), rng.uniform(-1, 1, n))
+        LinearRepresentation(mats, rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)),
+        invertibility_policy=policy,
     )
     uhat = random_uhat(rng, m=2, L=L, delta=2.0 / L, scale=4.0 / L)
     fwd = simulate_forward(sys, uhat)
@@ -371,24 +434,28 @@ def test_ct_bilinear_matches_staged_rk4(rng, m, n, kinds):
         assert np.max(np.abs(outputs - ref_outputs)) <= tol, steps
 
 
+TRIANGULAR_REP = LinearRepresentation(
+    [np.zeros((2, 2)), np.array([[1.0, 0.5], [0.0, 0.8]])],
+    np.array([0.0, 1.0]),
+    np.array([1.0, 1.0]),
+)
+
+
 @pytest.mark.parametrize(
     "rep, level, steps",
     [
-        # overflow near t = 7.0 and 4.7, in the second time block of each; the
+        # overflow near t = 7.0 and 4.7, in the first time block of each; the
         # classical stages overflow a step before the propagated state would
         (geometric_rep(), 100.0, 6000),
-        (
-            LinearRepresentation(
-                [np.zeros((2, 2)), np.array([[1.0, 0.5], [0.0, 0.8]])],
-                np.array([0.0, 1.0]),
-                np.array([1.0, 1.0]),
-            ),
-            150.0,
-            3000,
-        ),
-        # the stages overflow at step 4096, the last of the first block, while
-        # the propagated state stays finite until the next block
+        (TRIANGULAR_REP, 150.0, 3000),
+        # the stages overflow at step 4096, mid-block
         (geometric_rep(), 103.05, 6000),
+        # the first two again, overflowing in the second time block
+        (geometric_rep(), 100.0, 24000),
+        (TRIANGULAR_REP, 150.0, 12000),
+        # the stages overflow at step 16384, the last of the first block, while
+        # the propagated state stays finite until the next block
+        (geometric_rep(), 103.04, 24000),
     ],
 )
 def test_ct_bilinear_nonfinite_names_first_time(rep, level, steps):
