@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -48,6 +49,7 @@ from .bounds import (
 )
 from .operators import dt_fliess_trajectory, dt_fliess_truncated, fliess_truncated
 from .realization import (
+    NonFinite,
     PolicyViolation,
     SingularTransition,
     StateAffineSystem,
@@ -193,10 +195,20 @@ class ExperimentReport:
         return [v if isinstance(v, str) else format_float(v) for v in self.values()]
 
 
+#: every float cell of the CSV output: six significant digits
+_FLOAT_FORMAT = ".6g"
+
+
 def format_float(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    return f"{float(v):.6g}"
+    return format(float(v), _FLOAT_FORMAT)
+
+
+def _format_column(values) -> list[str]:
+    """format_float of every float of ``values``, in one pass."""
+    return list(map(format, np.asarray(values, dtype=float).tolist(),
+                    itertools.repeat(_FLOAT_FORMAT)))
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +352,7 @@ def load_config(path: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 def _annotate(exc: Exception, column: str):
-    exc.args = (f"{column}: {exc.args[0] if exc.args else exc!r}",)
+    exc.args = (f"{column}: {exc.args[0] if exc.args else repr(exc)}",)
     return exc
 
 
@@ -388,6 +400,14 @@ def _continuous_output(cfg: ExperimentConfig,
             [warning])
 
 
+def _realization_outputs(cfg: ExperimentConfig, uhat: DiscreteInput) -> np.ndarray:
+    """The forward realization's output at every step N = 0..L."""
+    try:
+        return simulate_forward(StateAffineSystem(cfg.series.representation), uhat).outputs
+    except (SingularTransition, PolicyViolation, NonFinite) as exc:
+        raise _annotate(exc, "realization column")
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Evaluate one config into a full report row: exact reference output,
     truncated discrete approximation, and both bound columns."""
@@ -400,11 +420,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         raise _annotate(exc, "y_hat column")
     realization_output = None
     if cfg.include_realization:
-        try:
-            traj = simulate_forward(StateAffineSystem(cfg.series.representation), uhat)
-        except (SingularTransition, PolicyViolation) as exc:
-            raise _annotate(exc, "realization column")
-        realization_output = float(traj.outputs[-1])
+        realization_output = float(_realization_outputs(cfg, uhat)[-1])
     return ExperimentReport(
         u_label=cfg.input.label or "u",
         T=cfg.input.T,
@@ -601,42 +617,34 @@ def reproduce_table(which: str) -> TableResult:
 def emit_trajectory(cfg: ExperimentConfig, resolution: int = 200) -> list[list[str]]:
     """Rows (including header) of the plot-data CSV: the continuous response
     sampled at ``resolution`` uniform points, merged with the discrete
-    approximation at its step times NΔ.  Off-grid cells are blank."""
+    approximation at its step times NΔ.  A uniform sample within 1e-12 T of
+    its nearest step time is dropped for that step.  The merged grid is built
+    and every column formatted as whole arrays; off-grid cells are blank."""
     if resolution < 2:
         raise DomainError(f"resolution must be >= 2, got {resolution}")
     uhat = discretize(cfg.input, cfg.L, rule=cfg.increments)
-    y_hat = dt_fliess_trajectory(cfg.series, uhat, cfg.J)
-    realization = None
+    header = ["t", "y", "N", "y_hat"]
+    # the cells of the step columns, per step N = 0..L
+    step_cells = [list(map(str, range(cfg.L + 1))),
+                  _format_column(dt_fliess_trajectory(cfg.series, uhat, cfg.J))]
     if cfg.include_realization:
-        realization = simulate_forward(StateAffineSystem(cfg.series.representation), uhat).outputs
+        header.append("y_realization")
+        step_cells.append(_format_column(_realization_outputs(cfg, uhat)))
 
     T, L = cfg.input.T, cfg.L
-    # the step times, plus each uniform sample not within 1e-12 T of its nearest step time
-    merged: list[tuple[float, Optional[int]]] = [(n * T / L, n) for n in range(L + 1)]
-    for k in range(resolution):
-        t = k * T / (resolution - 1)
-        if abs(t - merged[round(t * L / T)][0]) > 1e-12 * T:
-            merged.append((t, None))
-    merged.sort(key=lambda item: item[0])
+    steps = np.arange(L + 1) * T / L
+    samples = np.arange(resolution) * T / (resolution - 1)
+    samples = samples[np.abs(samples - steps[np.rint(samples * L / T).astype(int)]) > 1e-12 * T]
+    times = np.concatenate((steps, samples))
+    order = np.argsort(times, kind="stable")
+    times = times[order]
+    # each row's step, or -1 for a sample off the grid: the blank cell
+    node = np.concatenate((np.arange(L + 1), np.full(samples.size, -1)))[order]
 
-    times = np.array([t for t, _ in merged])
     curve, _, _ = _continuous_output(cfg, times)
-    header = ["t", "y", "N", "y_hat"]
-    if realization is not None:
-        header.append("y_realization")
-    rows = [header]
-    for (t, node), y_val in zip(merged, curve):
-        row = [format_float(t), format_float(y_val)]
-        if node is None:
-            row += ["", ""]
-            if realization is not None:
-                row.append("")
-        else:
-            row += [str(node), format_float(y_hat[node])]
-            if realization is not None:
-                row.append(format_float(realization[node]))
-        rows.append(row)
-    return rows
+    columns = [_format_column(times), _format_column(curve)]
+    columns += [np.array(cells + [""], dtype=object)[node].tolist() for cells in step_cells]
+    return [header] + list(map(list, zip(*columns)))
 
 
 def write_csv(rows: Sequence[Sequence[str]], stream) -> None:

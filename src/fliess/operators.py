@@ -22,9 +22,11 @@ layer below at the same step; integrals use the panel rule under one
 Romberg driver (_romberg) that extrapolates whole output arrays.  One
 Romberg sweep serves every sample time: its grids are aligned to the
 breakpoints and to all sample times, so a whole trajectory costs one run of
-the recursion per level.  Representations enumerate no words and
-polynomials only their support words, so ``cap`` bounds callback series
-only.
+the recursion per level.  Each level gathers every sample's layer values as
+one array per layer and reads them in one call, so no Python code runs per
+sample; both sides sum a time's layer contributions exactly, by one helper
+(_exact_row_sums).  Representations enumerate no words and polynomials only
+their support words, so ``cap`` bounds callback series only.
 """
 
 from __future__ import annotations
@@ -133,22 +135,30 @@ def _graded(layers, rows: np.ndarray, panel: bool):
         yield vs
 
 
+def _exact_row_sums(terms: list[np.ndarray]) -> np.ndarray:
+    """The correctly rounded sum (math.fsum) of ``terms``, one entry per
+    row: the per-layer contributions of one time or sample each."""
+    return np.array([math.fsum(r) for r in np.column_stack(terms).tolist()], dtype=float)
+
+
 # ---------------------------------------------------------------------------
 # continuous side
 # ---------------------------------------------------------------------------
 
 def _romberg(layers, u: ContinuousInput, times: Optional[float | np.ndarray], tol: float,
              read, max_refinements: int = 12) -> np.ndarray:
-    """``read`` of the layer values at each sample time (default T), one
-    entry per time, by Romberg extrapolation of the panel rule in one sweep
-    for all samples: every level's grid is aligned to 0, to every breakpoint
-    below the latest sample and to every sample time, with at least 8
-    panels, and runs the graded recursion once; a sample at 0 reads
-    [V_0, 0, ...].  The grid is halved until every entry of consecutive
-    diagonals agrees to max(tol, 1e-14 |entry|) at every sample, else
-    QuadratureFailure names the sample with the largest last change.  The
-    rule is exact in u for piecewise-constant channels on such grids and has
-    an even-power error expansion for smooth ones.
+    """``read`` of the layer values at each sample time (default T), by
+    Romberg extrapolation of the panel rule in one sweep for all samples.
+    Every level's grid is aligned to 0, to every breakpoint below the latest
+    sample and to every sample time, with at least 8 panels, and runs the
+    graded recursion once.  ``read`` is called once per level with the list
+    ``ends``, where ``ends[j]`` has one row of layer j per sample (a sample
+    at 0 has the row of [V_0, 0, ...]), and returns one value or one row per
+    sample.  The grid is halved until every entry of consecutive diagonals
+    agrees to max(tol, 1e-14 |entry|) at every sample, else QuadratureFailure
+    names the sample with the largest last change.  The rule is exact in u
+    for piecewise-constant channels on such grids and has an even-power
+    error expansion for smooth ones.
     """
     times = np.atleast_1d(np.asarray(u.T if times is None else times, dtype=float))
     outside = times[~((times >= 0.0) & (times <= u.T))]
@@ -159,7 +169,7 @@ def _romberg(layers, u: ContinuousInput, times: Optional[float | np.ndarray], to
     base_splits = 1
     while 0 < (len(edges) - 1) * base_splits < 8:
         base_splits *= 2
-    # each sample's edge, and its layer values at t = 0
+    # each sample's edge, and the layer values at t = 0
     slot = np.searchsorted(edges, times)
     origin = [layers[0]] + [np.zeros_like(w) for w in layers[1][1:]]
     prev_row: list[np.ndarray] = []
@@ -171,15 +181,17 @@ def _romberg(layers, u: ContinuousInput, times: Optional[float | np.ndarray], to
         widths = np.diff(nodes)
         mids = nodes[:-1] + 0.5 * widths
         rows = np.column_stack([widths, *(u.value(i, mids) * widths for i in range(1, u.m + 1))])
-        # each sample's panel row: its node minus one, so -1 at t = 0
+        # each sample's panel row: its node minus one, so -1 at t = 0, where
+        # the sample keeps the origin row
         at = slot * splits - 1
-        ends = [origin if k < 0 else None for k in at]
+        ends = [np.tile(v, (len(times), 1)) for v in origin]
         n0 = 0
         for vs in _graded(layers, rows, panel=True):
-            for s in np.flatnonzero((at >= n0) & (at < n0 + len(vs[0]))):
-                ends[s] = [v[at[s] - n0] for v in vs]
+            hit = np.flatnonzero((at >= n0) & (at < n0 + len(vs[0])))
+            for end, v in zip(ends, vs):
+                end[hit] = v[at[hit] - n0]
             n0 += len(vs[0])
-        row = [np.array([read(e) for e in ends], dtype=float)]
+        row = [np.asarray(read(ends), dtype=float)]
         for j, lower in enumerate(prev_row, start=1):
             row.append(row[j - 1] + (row[j - 1] - lower) / (4.0**j - 1.0))
         change = np.abs(row[-1] - prev_row[-1]) if prev_row else np.full(row[0].shape, np.inf)
@@ -204,7 +216,7 @@ def iterated_integral(
     c = SeriesSpec(Alphabet(u.m), polynomial=Polynomial.monomial(eta))
     # eta is the only word of the top layer
     return float(_romberg(_word_layers(c, c.polynomial.degree()), u, t, tol,
-                          lambda ends: ends[-1][0], max_refinements)[0])
+                          lambda ends: ends[-1][:, 0], max_refinements)[0])
 
 
 def chen_truncation(
@@ -224,7 +236,8 @@ def chen_truncation(
     """
     words = enumerate_words_upto(range(u.m + 1), J, cap=cap)
     layers = _word_layers(SeriesSpec(Alphabet(u.m), callback=lambda w: 1.0), J, cap)
-    return Polynomial(dict(zip(words, _romberg(layers, u, t, tol, np.concatenate)[0])))
+    values = _romberg(layers, u, t, tol, lambda ends: np.concatenate(ends, axis=1))
+    return Polynomial(dict(zip(words, values[0])))
 
 
 def fliess_truncated(
@@ -242,7 +255,7 @@ def fliess_truncated(
         raise DomainError(f"series has m={c.alphabet.m} but input has m={u.m}")
     layers = _word_layers(c, J, cap)
     values = _romberg(layers, u, t, tol,
-                      lambda ends: math.fsum(v @ w for v, w in zip(ends, layers[1])))
+                      lambda ends: _exact_row_sums([v @ w for v, w in zip(ends, layers[1])]))
     return values if np.ndim(t) else float(values[0])
 
 
@@ -277,16 +290,17 @@ def dt_fliess_trajectory(
     """Truncated discrete-time series functional at every step:
     entry N is sum_{|eta| <= J} (c, eta) S_eta[uhat](N) for N = 0..L, from
     the graded recursion with the sum stencil (see _word_layers, _graded);
-    each step's layer values are summed by math.fsum."""
+    each step's layer contributions are summed exactly (_exact_row_sums)."""
     if c.alphabet.m != uhat.m:
         raise DomainError(f"series has m={c.alphabet.m} but input has m={uhat.m}")
     layers = _word_layers(c, J, cap)
     start, weights = layers[0], layers[1]
-    out = [weights[0] @ start]
+    y0 = weights[0] @ start
+    out = [np.array([y0])]
     for vs in _graded(layers, uhat.values, panel=False):
-        dots = [np.full(len(vs[0]), out[0])] + [v @ w for v, w in zip(vs[1:], weights[1:])]
-        out.extend(math.fsum(d) for d in np.column_stack(dots).tolist())
-    return np.array(out, dtype=float)
+        dots = [np.full(len(vs[0]), y0)] + [v @ w for v, w in zip(vs[1:], weights[1:])]
+        out.append(_exact_row_sums(dots))
+    return np.concatenate(out)
 
 
 def dt_fliess_truncated(

@@ -32,7 +32,8 @@ about log2(steps) batched levels instead of one matvec per step.  Forward,
 the states are checked afterwards: ``solve_with_residual`` applies its
 residual rule to every step of the block at once, and a block that fails
 it, or whose solve fails or whose states are not finite, reruns one
-resolvent solve per step, so the error names the failing step.
+resolvent solve per step, so the error names the failing step (NonFinite
+for the first state that overflows).
 """
 
 from __future__ import annotations
@@ -54,23 +55,23 @@ _NORM_THRESHOLD = 1.0 - 1e-9
 _OVERFLOW_GUARD = 0.5 * np.finfo(float).max
 
 
-class SingularTransition(ArithmeticError):
+class _StepFailure(ArithmeticError):
+    """A failure of the recursion at ``step``, if it has one."""
+
+    def __init__(self, message: str, step: Optional[int] = None):
+        super().__init__(message)
+        self.step = step
+
+
+class SingularTransition(_StepFailure):
     """The one-step resolvent matrix is numerically singular."""
 
-    def __init__(self, message: str, step: Optional[int] = None):
-        super().__init__(message)
-        self.step = step
 
-
-class PolicyViolation(ArithmeticError):
+class PolicyViolation(_StepFailure):
     """The conservative increment-size test failed before the solve."""
 
-    def __init__(self, message: str, step: Optional[int] = None):
-        super().__init__(message)
-        self.step = step
 
-
-class NonFinite(ArithmeticError):
+class NonFinite(_StepFailure):
     """A simulated state overflowed or became NaN."""
 
 
@@ -160,7 +161,8 @@ def _residual_ok(residual, scale):
 
 def _solve(sys: StateAffineSystem, matrix: np.ndarray, z: np.ndarray, step: Optional[int] = None) -> np.ndarray:
     """Solve matrix @ z' = z; under ``solve_with_residual`` also demand a
-    residual below 1e-10 * ||z||.  Failures raise SingularTransition."""
+    residual below 1e-10 * ||z||.  Failures raise SingularTransition, and a
+    z' that is not finite (the state overflowed) raises NonFinite."""
     try:
         z_next = np.linalg.solve(matrix, z)
     except np.linalg.LinAlgError as exc:
@@ -174,6 +176,8 @@ def _solve(sys: StateAffineSystem, matrix: np.ndarray, z: np.ndarray, step: Opti
                 f"resolvent solve residual {residual:g} too large (state norm {scale:g})",
                 step,
             )
+    if not np.isfinite(z_next).all():
+        raise _step_error(NonFinite, "state non-finite after the resolvent solve", step)
     return z_next
 
 
@@ -185,7 +189,9 @@ def forward_step(sys: StateAffineSystem, z: np.ndarray, u_next: np.ndarray) -> n
     never inverted.  Under ``strict_norm`` the induced infinity norm of the
     increment matrix must stay below the threshold (which guarantees
     solvability); under ``solve_with_residual`` any solve whose residual
-    stays below 1e-10 * ||z|| is accepted.
+    stays below 1e-10 * ||z|| is accepted.  A state that is not finite
+    raises NonFinite (under ``solve_with_residual`` its residual fails
+    first).
     """
     z = np.asarray(z, dtype=float).reshape(sys.dim)
     B = sys.rep.letter_sum(u_next)
@@ -247,9 +253,11 @@ def simulate_forward(sys: StateAffineSystem, uhat: DiscreteInput, N_f: Optional[
     ``strict_norm`` test together, their resolvents (I - B(N))^{-1} come from
     one batched solve, and the states from pairwise products of those
     resolvents (_chain).  The ``solve_with_residual`` rule is checked on the
-    resulting states, step by step.  A block whose solve or residual fails
-    reruns one solve per step, so step failures propagate with the failing
-    step index attached.
+    resulting states, step by step.  A block whose solve or residual fails,
+    or whose states are not finite, reruns one solve per step, so step
+    failures propagate with the failing step index attached.  The first
+    state that overflows raises NonFinite under ``strict_norm``, and fails
+    the residual rule under ``solve_with_residual``.
     """
     N_f = _step_count(sys, uhat, N_f)
     states = np.empty((N_f + 1, sys.dim))

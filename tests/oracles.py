@@ -9,7 +9,10 @@ library's graded recursions against.  None of them is on a production path:
 * scalar_channel and discretize_per_step — each channel kind's increment and
   absolute-value integrals over one interval per call, and the exact
   discretization built from them one step at a time: the scalar loops that
-  the channels' array methods replace.
+  the channels' array methods replace;
+* emit_trajectory_per_row — the trajectory CSV rows merged as a sorted list
+  of (time, step) pairs and formatted one cell at a time: the loop that
+  emit_trajectory's whole-column route replaces.
 """
 
 import bisect
@@ -27,7 +30,9 @@ from fliess.algebra import (
     SeriesSpec,
     left_shift,
 )
+from fliess.harness import ExperimentConfig, _continuous_output, format_float
 from fliess.operators import dt_fliess_trajectory, dt_fliess_truncated
+from fliess.realization import StateAffineSystem, simulate_forward
 from fliess.signals import (
     CatenatedChannel,
     Channel,
@@ -37,6 +42,7 @@ from fliess.signals import (
     PiecewiseConstantChannel,
     SampledChannel,
     SinusoidChannel,
+    discretize,
 )
 
 
@@ -298,3 +304,41 @@ def discretize_per_step(u: ContinuousInput, L: int) -> np.ndarray:
         ch = scalar_channel(u.channel(i))
         values[:, i] = [ch.increment(edges[N], edges[N + 1]) for N in range(L)]
     return values
+
+
+def emit_trajectory_per_row(cfg: ExperimentConfig, resolution: int) -> list[list[str]]:
+    """The rows of ``emit_trajectory(cfg, resolution)``: the step times and
+    every uniform sample farther than 1e-12 T from its nearest step time,
+    merged by one sort of (time, step) pairs, then one row and one
+    format_float call per cell at a time."""
+    uhat = discretize(cfg.input, cfg.L, rule=cfg.increments)
+    y_hat = dt_fliess_trajectory(cfg.series, uhat, cfg.J)
+    realization = None
+    if cfg.include_realization:
+        realization = simulate_forward(StateAffineSystem(cfg.series.representation), uhat).outputs
+
+    T, L = cfg.input.T, cfg.L
+    merged: list[tuple[float, Optional[int]]] = [(n * T / L, n) for n in range(L + 1)]
+    for k in range(resolution):
+        t = k * T / (resolution - 1)
+        if abs(t - merged[round(t * L / T)][0]) > 1e-12 * T:
+            merged.append((t, None))
+    merged.sort(key=lambda item: item[0])
+
+    curve, _, _ = _continuous_output(cfg, np.array([t for t, _ in merged]))
+    header = ["t", "y", "N", "y_hat"]
+    if realization is not None:
+        header.append("y_realization")
+    rows = [header]
+    for (t, node), y_val in zip(merged, curve):
+        row = [format_float(t), format_float(y_val)]
+        if node is None:
+            row += ["", ""]
+            if realization is not None:
+                row.append("")
+        else:
+            row += [str(node), format_float(y_hat[node])]
+            if realization is not None:
+                row.append(format_float(realization[node]))
+        rows.append(row)
+    return rows

@@ -2,6 +2,7 @@
 emission, and the command-line surface."""
 
 import io
+import itertools
 import json
 import math
 from pathlib import Path
@@ -47,7 +48,7 @@ from fliess.signals import (
     discretize,
 )
 
-from oracles import iterated_integral_pc
+from oracles import emit_trajectory_per_row, iterated_integral_pc
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -331,6 +332,27 @@ def test_emit_trajectory_realization_column():
         assert abs(float(r[3]) - float(r[4])) <= bound + 1e-5
 
 
+@pytest.mark.parametrize("realization", [False, True])
+def test_emit_trajectory_matches_the_per_row_merge(realization):
+    # T = 0.7 adds samples within ulps of a step time (a quarter of the way
+    # at L = 100, resolution 333) to those that land on one exactly
+    on_step = near_step = 0
+    for L, resolution, T in itertools.product((1, 7, 50, 100), (2, 3, 8, 101, 200, 333),
+                                              (0.3, 1.0, 2.0, 0.7)):
+        cfg = parse_config({
+            "system": {"builtin": "gc_geometric"},
+            "input": {"channels": [{"kind": "sinusoid", "amplitude": 0.4, "omega": 3.0}]},
+            "T": T, "L": L, "J": 3, "include_realization": realization,
+        })
+        rows = emit_trajectory(cfg, resolution)
+        assert rows == emit_trajectory_per_row(cfg, resolution), (L, resolution, T)
+        samples = np.arange(resolution) * T / (resolution - 1)
+        gap = np.abs(samples - np.round(samples * L / T) * T / L)
+        on_step += int(np.sum(gap == 0.0))
+        near_step += int(np.sum((gap > 0.0) & (gap <= 1e-12 * T)))
+    assert on_step > 0 and near_step > 0
+
+
 def _record_curve_times(monkeypatch) -> list:
     """Route the harness's fliess_truncated calls through a wrapper; the
     returned list collects the times of each call."""
@@ -607,6 +629,24 @@ def test_cli_gc_tail_past_the_factorial_range(tmp_path, command, capsys):
     header, row = capsys.readouterr().out.splitlines()
     e_tail = float(row.split(",")[header.split(",").index("e_tail")])
     assert math.isfinite(e_tail)
+
+
+OVERFLOWING_REALIZATION = {
+    "system": {"representation": {"matrices": [[[0.0]], [[1.0]]], "gamma": [1.0],
+                                  "lam": [1.0], "growth": {"kind": "GC"}}},
+    "input": {"channels": [{"kind": "constant", "level": 306.0}]},
+    "T": 1.0, "L": 340, "J": 3, "include_realization": True,
+}
+
+
+@pytest.mark.parametrize("command", ["run", "trajectory"])
+def test_cli_overflowing_realization_exits_2_naming_the_step(tmp_path, command, capsys):
+    # each resolvent step multiplies the state by 10, which overflows at step
+    # 309; the bounds (s = 612) and the RK4 curve (e^306) stay finite
+    assert cli.main([command, write_doc(tmp_path, OVERFLOWING_REALIZATION)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: realization column: step 309: state non-finite")
 
 
 def test_analytic_curve_makes_one_increment_call(monkeypatch):

@@ -118,11 +118,38 @@ def test_quadrature_failure_names_the_worst_sample():
     layers = operators._word_layers(SeriesSpec(Alphabet(1), polynomial=Polynomial({(1,): 1.0})), 1)
     with pytest.raises(QuadratureFailure, match=r"at t=0\.5 did not reach"):
         operators._romberg(layers, u, np.array([0.0, 0.5, 1.0]), 1e-10,
-                           lambda ends: ends[-1][0], max_refinements=1)
+                           lambda ends: ends[-1][:, 0], max_refinements=1)
     # the sample at T alone converges within the same two levels
-    at_T = operators._romberg(layers, u, np.array([1.0]), 1e-10, lambda ends: ends[-1][0],
+    at_T = operators._romberg(layers, u, np.array([1.0]), 1e-10, lambda ends: ends[-1][:, 0],
                               max_refinements=1)
     assert at_T[0] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_romberg_reads_every_sample_once_per_level(monkeypatch):
+    u = ContinuousInput([SinusoidChannel(0.8, 9.0), SinusoidChannel(-0.5, 4.0, 0.3)], 0.6)
+    c = SeriesSpec(Alphabet(2), polynomial=Polynomial({(1,): 0.5, (1, 2): -1.0, (2, 0, 1): 2.0}))
+    layers = operators._word_layers(c, 3)
+    levels = []
+    graded = operators._graded
+    monkeypatch.setattr(operators, "_graded",
+                        lambda *args, **kwargs: levels.append(1) or graded(*args, **kwargs))
+    reads = []
+
+    def read(ends):
+        reads.append(ends)
+        return ends[-1][:, 0]
+
+    times = np.array([0.0, 0.05, 0.3, 0.31, 0.6])
+    values = operators._romberg(layers, u, times, 1e-10, read)
+    # one graded run and one read of every sample per level
+    assert len(reads) == len(levels) > 1
+    for ends in reads:
+        assert [e.shape for e in ends] == [(len(times), w.size) for w in layers[1]]
+        # the sample at t = 0 reads [V_0, 0, ...]
+        assert [list(e[0]) for e in ends] == [[1.0]] + [[0.0] * w.size for w in layers[1][1:]]
+    one_at_a_time = [operators._romberg(layers, u, t, 1e-10, lambda ends: ends[-1][:, 0])[0]
+                     for t in times]
+    assert values == pytest.approx(one_at_a_time, rel=1e-9, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

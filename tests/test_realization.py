@@ -265,6 +265,23 @@ def test_nan_increment_fails_both_policies(policy, error):
         forward_step(sys, np.ones(1), values[1])
 
 
+@pytest.mark.parametrize("policy, error", [("strict_norm", NonFinite),
+                                           ("solve_with_residual", SingularTransition)])
+def test_forward_overflow_names_the_first_step(policy, error):
+    # resolvent 1/(1 - 0.9) = 10 per step: 10^308 at step 308, inf at 309
+    L = 340
+    values = np.column_stack([np.full(L, 1.0 / L), np.full(L, 0.9)])
+    uhat = DiscreteInput(m=1, L=L, delta=1.0 / L, values=values)
+    sys = StateAffineSystem(geometric_rep(), invertibility_policy=policy)
+    with pytest.raises(error) as exc:
+        simulate_forward(sys, uhat)
+    assert exc.value.step == 309
+    assert str(exc.value).startswith("step 309: ")
+    assert np.isfinite(simulate_forward(sys, uhat, N_f=308).outputs).all()
+    with pytest.raises(error):
+        forward_step(sys, np.array([1e308]), values[0])
+
+
 @pytest.mark.parametrize("dim", [1, 3, 8])
 def test_chain_matches_sequential_matvecs(rng, dim):
     # every odd/even split of the pairwise reduction, and the empty stack
