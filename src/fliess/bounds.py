@@ -292,22 +292,13 @@ def bound_inputs(
 
 
 def regime_warnings(kind: Growth, b: BoundInputs) -> list[str]:
-    """Warnings for a series of growth ``kind``: the LC operator radius
-    Rbar < 1/(M(m+1)), divergence of the LC bound formulas (s_hat or s >= 1),
-    the GC discrete radius ||uhat||_inf < 1/(M(m+1)), and the steps-per-order
-    ratio L/J falling below _MIN_STEPS_PER_ORDER (J = 0 skips it)."""
+    """Warnings for a series of growth ``kind``: the GC discrete radius
+    ||uhat||_inf < 1/(M(m+1)), and the steps-per-order ratio L/J falling
+    below _MIN_STEPS_PER_ORDER (J = 0 skips it).  The LC conditions
+    (Rbar < 1/(M(m+1)), which is s < 1, and s_hat < 1) need no warning:
+    lc_bounds raises Divergent when either fails."""
     radius = 1.0 / (b.M * (b.m + 1))
     warnings = []
-    if kind is Growth.LC:
-        if b.Rbar >= radius:
-            warnings.append(
-                f"Rbar = {b.Rbar:g} outside the operator convergence radius "
-                f"1/(M(m+1)) = {radius:g}"
-            )
-        if b.s_hat >= 1.0:
-            warnings.append(f"s_hat = {b.s_hat:g} >= 1: LC bound formulas diverge")
-        if b.s >= 1.0:
-            warnings.append(f"s = {b.s:g} >= 1: LC tail bound diverges")
     if kind is Growth.GC and b.norm_uhat >= radius:
         warnings.append(f"||uhat||_inf = {b.norm_uhat:g} at or beyond the "
                         f"discrete convergence radius {radius:g}")

@@ -11,8 +11,8 @@ Exit codes: 0 success, 1 comparison failure, 2 config or domain error.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
+from contextlib import nullcontext
 
 from .algebra import CapExceeded, DomainError
 from .bounds import Divergent
@@ -20,8 +20,8 @@ from .harness import (
     REPORT_COLUMNS,
     compute_bounds,
     emit_trajectory,
+    format_float,
     load_config,
-    report_csv,
     reproduce_table,
     run_experiment,
     write_csv,
@@ -41,14 +41,15 @@ _CONFIG_ERRORS = (
 )
 
 
+def _write(rows, path=None) -> None:
+    """Write CSV rows to the file at ``path``, or to stdout."""
+    with open(path, "w", encoding="utf-8", newline="") if path else nullcontext(sys.stdout) as fh:
+        write_csv(rows, fh)
+
+
 def _cmd_run(args) -> int:
     report = run_experiment(load_config(args.config))
-    text = report_csv([report])
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write([REPORT_COLUMNS, report.row()], args.csv)
     for w in report.warnings:
         print(f"warning: {w}", file=sys.stderr)
     return 0
@@ -61,22 +62,14 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_trajectory(args) -> int:
-    rows = emit_trajectory(load_config(args.config), args.resolution)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            write_csv(rows, fh)
-    else:
-        write_csv(rows, sys.stdout)
+    _write(emit_trajectory(load_config(args.config), args.resolution), args.out)
     return 0
 
 
 def _cmd_bounds(args) -> int:
-    cfg = load_config(args.config)
-    b = compute_bounds(cfg)
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["s", "s_hat", "e_hat", "e_tail", "mode"])
-    writer.writerow([f"{b.s:.6g}", f"{b.s_hat:.6g}", f"{b.e_hat:.6g}",
-                     f"{b.e_tail:.6g}", b.mode])
+    b = compute_bounds(load_config(args.config))
+    _write([["s", "s_hat", "e_hat", "e_tail", "mode"],
+            [*map(format_float, (b.s, b.s_hat, b.e_hat, b.e_tail)), b.mode]])
     for w in b.regime_warnings:
         print(f"warning: {w}", file=sys.stderr)
     return 0

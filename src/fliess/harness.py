@@ -47,7 +47,7 @@ from .bounds import (
     lc_bounds,
     regime_warnings,
 )
-from .operators import dt_fliess_trajectory, dt_fliess_truncated, fliess_truncated
+from .operators import dt_fliess_trajectory, fliess_truncated
 from .realization import (
     NonFinite,
     PolicyViolation,
@@ -400,12 +400,23 @@ def _continuous_output(cfg: ExperimentConfig,
             [warning])
 
 
-def _realization_outputs(cfg: ExperimentConfig, uhat: DiscreteInput) -> np.ndarray:
-    """The forward realization's output at every step N = 0..L."""
+def _columns(cfg: ExperimentConfig, uhat: DiscreteInput, times: np.ndarray):
+    """In column order: y at ``times`` with its route and warnings, then y_hat
+    and (if configured, else None) the forward realization's output at every
+    step N = 0..L.  A failing step column's error names the column."""
+    y, y_route, warnings = _continuous_output(cfg, times)
     try:
-        return simulate_forward(StateAffineSystem(cfg.series.representation), uhat).outputs
-    except (SingularTransition, PolicyViolation, NonFinite) as exc:
-        raise _annotate(exc, "realization column")
+        y_hat = dt_fliess_trajectory(cfg.series, uhat, cfg.J)
+    except CapExceeded as exc:
+        raise _annotate(exc, "y_hat column")
+    realization = None
+    if cfg.include_realization:
+        try:
+            realization = simulate_forward(StateAffineSystem(cfg.series.representation),
+                                           uhat).outputs
+        except (SingularTransition, PolicyViolation, NonFinite) as exc:
+            raise _annotate(exc, "realization column")
+    return y, y_route, warnings, y_hat, realization
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -413,14 +424,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     truncated discrete approximation, and both bound columns."""
     uhat = discretize(cfg.input, cfg.L, rule=cfg.increments)
     bound_inputs, bounds_report = _bounds(cfg, uhat)
-    (y,), y_route, warnings = _continuous_output(cfg, np.array([cfg.input.T]))
-    try:
-        y_hat = dt_fliess_truncated(cfg.series, uhat, cfg.J)
-    except CapExceeded as exc:
-        raise _annotate(exc, "y_hat column")
-    realization_output = None
-    if cfg.include_realization:
-        realization_output = float(_realization_outputs(cfg, uhat)[-1])
+    (y,), y_route, warnings, y_hat, realization = _columns(cfg, uhat, np.array([cfg.input.T]))
     return ExperimentReport(
         u_label=cfg.input.label or "u",
         T=cfg.input.T,
@@ -431,22 +435,19 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         s=bounds_report.s,
         s_hat=bounds_report.s_hat,
         y=float(y),
-        y_hat=y_hat,
+        y_hat=float(y_hat[-1]),
         e_hat=bounds_report.e_hat,
         e_tail=bounds_report.e_tail,
         bound_mode=cfg.bound_mode,
         y_route=y_route,
         warnings=tuple(warnings) + bounds_report.regime_warnings,
-        realization_output=realization_output,
+        realization_output=None if realization is None else float(realization[-1]),
     )
 
 
 def report_csv(reports: Sequence[ExperimentReport]) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(REPORT_COLUMNS)
-    for r in reports:
-        writer.writerow(r.row())
+    write_csv([REPORT_COLUMNS, *(r.row() for r in reports)], buf)
     return buf.getvalue()
 
 
@@ -550,14 +551,14 @@ class TableResult:
             status = "pass" if r.passed else "FAIL"
             out.append(
                 f"  case {r.case} [{status}] u={r.report.u_label} L={r.report.L} "
-                f"J={r.report.J}: y_hat={r.report.y_hat:.6g} "
-                f"e_hat={r.report.e_hat:.6g} e_tail={r.report.e_tail:.6g}"
+                f"J={r.report.J}: y_hat={format_float(r.report.y_hat)} "
+                f"e_hat={format_float(r.report.e_hat)} e_tail={format_float(r.report.e_tail)}"
             )
             for ch in r.checks:
                 if not ch.passed:
                     out.append(
-                        f"    {ch.column}: computed {ch.computed:.6g} vs expected "
-                        f"{ch.expected:.6g} (tolerance {ch.tolerance})"
+                        f"    {ch.column}: computed {format_float(ch.computed)} vs expected "
+                        f"{format_float(ch.expected)} (tolerance {ch.tolerance})"
                     )
         return out
 
@@ -623,14 +624,6 @@ def emit_trajectory(cfg: ExperimentConfig, resolution: int = 200) -> list[list[s
     if resolution < 2:
         raise DomainError(f"resolution must be >= 2, got {resolution}")
     uhat = discretize(cfg.input, cfg.L, rule=cfg.increments)
-    header = ["t", "y", "N", "y_hat"]
-    # the cells of the step columns, per step N = 0..L
-    step_cells = [list(map(str, range(cfg.L + 1))),
-                  _format_column(dt_fliess_trajectory(cfg.series, uhat, cfg.J))]
-    if cfg.include_realization:
-        header.append("y_realization")
-        step_cells.append(_format_column(_realization_outputs(cfg, uhat)))
-
     T, L = cfg.input.T, cfg.L
     steps = np.arange(L + 1) * T / L
     samples = np.arange(resolution) * T / (resolution - 1)
@@ -641,13 +634,17 @@ def emit_trajectory(cfg: ExperimentConfig, resolution: int = 200) -> list[list[s
     # each row's step, or -1 for a sample off the grid: the blank cell
     node = np.concatenate((np.arange(L + 1), np.full(samples.size, -1)))[order]
 
-    curve, _, _ = _continuous_output(cfg, times)
+    curve, _, _, y_hat, realization = _columns(cfg, uhat, times)
+    header = ["t", "y", "N", "y_hat"]
+    # the cells of the step columns, per step N = 0..L
+    step_cells = [list(map(str, range(L + 1))), _format_column(y_hat)]
+    if realization is not None:
+        header.append("y_realization")
+        step_cells.append(_format_column(realization))
     columns = [_format_column(times), _format_column(curve)]
     columns += [np.array(cells + [""], dtype=object)[node].tolist() for cells in step_cells]
     return [header] + list(map(list, zip(*columns)))
 
 
 def write_csv(rows: Sequence[Sequence[str]], stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    for row in rows:
-        writer.writerow(row)
+    csv.writer(stream, lineterminator="\n").writerows(rows)

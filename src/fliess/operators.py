@@ -264,24 +264,21 @@ def fliess_truncated(
 # ---------------------------------------------------------------------------
 
 def iterated_sum(eta: Sequence[int], uhat: DiscreteInput, N: Optional[int] = None) -> float:
-    """S_eta[uhat](N) by the cumulative recursion (innermost letter first)."""
+    """S_eta[uhat](N), the last entry of iterated_sum_trajectory."""
     return float(iterated_sum_trajectory(eta, uhat, N)[-1])
 
 
 def iterated_sum_trajectory(
     eta: Sequence[int], uhat: DiscreteInput, N: Optional[int] = None
 ) -> np.ndarray:
-    """S_eta[uhat](k) for k = 0..N as one array."""
-    eta = Alphabet(uhat.m).check_word(eta)
+    """S_eta[uhat](k) for k = 0..N as one array: dt_fliess_trajectory of
+    the monomial eta, truncated at |eta|."""
+    c = SeriesSpec(Alphabet(uhat.m), polynomial=Polynomial.monomial(eta))
     if N is None:
         N = uhat.L
     if not 0 <= N <= uhat.L:
         raise DomainError(f"step count {N} outside 0..{uhat.L}")
-    s = np.ones(N + 1)
-    for letter in reversed(eta):
-        incr = uhat.channel(letter)[:N]
-        s = np.concatenate(([0.0], np.cumsum(incr * s[1:])))
-    return s
+    return dt_fliess_trajectory(c, uhat, c.polynomial.degree())[:N + 1]
 
 
 def dt_fliess_trajectory(

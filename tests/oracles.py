@@ -4,6 +4,9 @@ library's graded recursions against.  None of them is on a production path:
 * iterated_integral_pc — E_eta[u](t) in closed form for piecewise-constant
   inputs;
 * iterated_sum_partition — S_eta[uhat](N) by enumerating index assignments;
+* iterated_sum_cumsum — S_eta[uhat](k) for k = 0..N by one cumulative sum
+  per letter, innermost first: the loop that iterated_sum_trajectory's
+  graded recursion replaces;
 * one_step_identity_check — the residual of the one-step shift identity
   that ties the discrete functional to its left-shifted series;
 * scalar_channel and discretize_per_step — each channel kind's increment and
@@ -127,6 +130,23 @@ def iterated_sum_partition(
             prod *= values[k - 1, letter]
         total += prod
     return total
+
+
+def iterated_sum_cumsum(
+    eta: Sequence[int], uhat: DiscreteInput, N: Optional[int] = None
+) -> np.ndarray:
+    """S_eta[uhat](k) for k = 0..N as one array, one cumulative sum per
+    letter of eta (innermost letter first)."""
+    eta = Alphabet(uhat.m).check_word(eta)
+    if N is None:
+        N = uhat.L
+    if not 0 <= N <= uhat.L:
+        raise DomainError(f"step count {N} outside 0..{uhat.L}")
+    s = np.ones(N + 1)
+    for letter in reversed(eta):
+        incr = uhat.channel(letter)[:N]
+        s = np.concatenate(([0.0], np.cumsum(incr * s[1:])))
+    return s
 
 
 def one_step_identity_check(

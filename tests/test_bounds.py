@@ -335,9 +335,13 @@ def test_regime_check_warnings():
     )
     u = constant_input(4.0, 1.0)          # Rbar = 4 >= radius 1
     uhat = discretize(u, 10)
-    msgs = regime_warnings(Growth.LC, bound_inputs(c, u, uhat, J=10))
-    assert any("radius" in w for w in msgs)
-    assert any("s_hat" in w for w in msgs)
+    b = bound_inputs(c, u, uhat, J=10)
+    # outside the LC regime the bounds raise before any warning is printed
+    with pytest.raises(Divergent, match="s_hat"):
+        lc_bounds(b)
+    with pytest.raises(Divergent, match="^s = 4 "):   # Rbar >= radius is s >= 1
+        lc_bounds(BoundInputs(b.K, b.M, b.m, b.L, b.J, norm_uhat=0.0, Rbar=b.Rbar))
+    msgs = regime_warnings(Growth.LC, b)
     assert any("L/J" in w for w in msgs)
     # well inside the regime: silent
     ok_u = constant_input(0.4, 0.5)

@@ -458,6 +458,8 @@ def test_cli_run(tmp_path, capsys):
     out_file = tmp_path / "row.csv"
     assert cli.main(["run", path, "--csv", str(out_file)]) == 0
     assert out_file.read_text().startswith(",".join(REPORT_COLUMNS))
+    # the file holds exactly what the same command prints
+    assert out_file.read_bytes() == out.encode()
 
 
 def test_cli_table_pass(capsys):
@@ -481,6 +483,19 @@ def test_cli_trajectory(tmp_path, capsys):
     assert text.startswith("t,y,N,y_hat")
     assert cli.main(["trajectory", path]) == 0
     assert capsys.readouterr().out.startswith("t,y,N,y_hat")
+    # the file holds exactly what the same command prints
+    assert cli.main(["trajectory", path, "--resolution", "10"]) == 0
+    assert out_file.read_bytes() == capsys.readouterr().out.encode()
+
+
+def test_cli_trajectory_runs_where_the_lc_bounds_diverge(tmp_path, capsys):
+    # s = max(||u||_1, T) = 1.5 >= 1, yet 1/(1 - z) exists at z = 0.75
+    doc = dict(BASE_DOC, T=1.5, input={"channels": [{"kind": "constant", "level": 0.5}]})
+    path = write_doc(tmp_path, doc)
+    assert cli.main(["run", path]) == 2
+    assert capsys.readouterr().err.startswith("error: e_hat/e_tail columns: s = 1.5 >= 1")
+    assert cli.main(["trajectory", path]) == 0
+    assert capsys.readouterr().out.startswith("t,y,N,y_hat")
 
 
 def test_cli_bounds(tmp_path, capsys):
@@ -489,6 +504,20 @@ def test_cli_bounds(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "s,s_hat,e_hat,e_tail,mode"
     assert "lc/statement" in out
+
+
+def test_cli_bounds_cells_match_the_report_row(tmp_path, capsys):
+    # both commands format their float cells with the one CSV format
+    path = write_doc(tmp_path, dict(BASE_DOC, T=0.3, L=7, J=3))
+    assert cli.main(["run", path]) == 0
+    header, row = (line.split(",") for line in capsys.readouterr().out.splitlines())
+    report = dict(zip(header, row))
+    assert cli.main(["bounds", path]) == 0
+    header, row = (line.split(",") for line in capsys.readouterr().out.splitlines())
+    bounds = dict(zip(header, row))
+    assert bounds["mode"] == "lc/statement"
+    for column in ("s", "s_hat", "e_hat", "e_tail"):
+        assert bounds[column] == report[column]
 
 
 @pytest.mark.parametrize(
@@ -629,6 +658,16 @@ def test_cli_gc_tail_past_the_factorial_range(tmp_path, command, capsys):
     header, row = capsys.readouterr().out.splitlines()
     e_tail = float(row.split(",")[header.split(",").index("e_tail")])
     assert math.isfinite(e_tail)
+
+
+@pytest.mark.parametrize("command", ["run", "trajectory"])
+def test_cli_word_cap_exits_2_naming_the_column(tmp_path, command, capsys):
+    # J + 1 words of x_1^k exceed the default word cap of the callback series
+    doc = dict(BASE_DOC, L=10, J=10_000_001)
+    assert cli.main([command, write_doc(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: y_hat column: 10000002 words")
 
 
 OVERFLOWING_REALIZATION = {

@@ -41,7 +41,7 @@ from fliess.signals import (
 )
 
 from conftest import random_pc_input, random_polynomial_series
-from oracles import iterated_integral_pc, iterated_sum_partition
+from oracles import iterated_integral_pc, iterated_sum_cumsum, iterated_sum_partition
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +262,24 @@ def test_sum_trajectory_consistent():
     for N in range(7):
         assert traj[N] == pytest.approx(iterated_sum((1, 0), uhat, N))
     assert iterated_sum_trajectory((), uhat).tolist() == [1.0] * 7
+
+
+def test_sum_trajectory_matches_the_cumsum_loop_bitwise(rng):
+    """The graded recursion on a monomial against one cumulative sum per
+    letter, at every N; L = 70 000 spans two time blocks of the recursion."""
+    assert _BLOCK_FLOATS < 70_000
+    for trial in range(60):
+        m = int(rng.integers(1, 4))
+        L = 70_000 if trial < 2 else int(rng.integers(1, 400))
+        u = random_pc_input(rng, m=m, T=float(rng.uniform(0.1, 3.0)), max_pieces=6, scale=2.0)
+        uhat = discretize(u, L)
+        eta = tuple(int(l) for l in rng.integers(0, m + 1, size=int(rng.integers(0, 6))))
+        traj = iterated_sum_trajectory(eta, uhat)
+        assert traj.tobytes() == iterated_sum_cumsum(eta, uhat).tobytes()
+        N = int(rng.integers(0, L + 1))
+        assert (iterated_sum_trajectory(eta, uhat, N).tobytes()
+                == iterated_sum_cumsum(eta, uhat, N).tobytes())
+        assert iterated_sum(eta, uhat, N) == traj[N]
 
 
 # ---------------------------------------------------------------------------
