@@ -14,25 +14,15 @@ from .algebra import (
     check_growth,
     enumerate_words,
     enumerate_words_upto,
-    left_shift,
-    shuffle,
-    shuffle_power,
 )
 from .bounds import (
     BoundInputs,
     BoundReport,
-    ConvergenceRegimes,
     Divergent,
-    classify_convergence,
     dt_tail_bound,
-    eeta_bound,
     effective_alphabet,
     gc_bounds,
-    gc_simplified,
     lc_bounds,
-    lc_simplified,
-    seta_bound,
-    single_integral_error_bound,
 )
 from .harness import (
     ExperimentConfig,
@@ -48,7 +38,6 @@ from .harness import (
 from .operators import (
     chen_truncation,
     dt_fliess_trajectory,
-    dt_fliess_truncated,
     fliess_truncated,
     iterated_integral,
     iterated_sum,

@@ -1,5 +1,5 @@
-"""Words over a finite alphabet, shuffle products, generating series, and
-linear representations of rational series.
+"""Words over a finite alphabet, generating series, and linear
+representations of rational series.
 
 Words are plain tuples of letter indices.  Letter 0 is always the drift
 letter (its channel is identically 1), letters 1..m are the controlled
@@ -72,14 +72,6 @@ class Alphabet:
             if type(letter) is not int or not 0 <= letter <= self.m:  # the common case stays cheap
                 self.check_letter(letter)
         return w
-
-
-def word_length_counts(w: Word, m: int) -> list[int]:
-    """Number of occurrences of each letter 0..m in ``w``."""
-    counts = [0] * (m + 1)
-    for letter in w:
-        counts[letter] += 1
-    return counts
 
 
 class Polynomial:
@@ -234,14 +226,6 @@ class LinearRepresentation:
             row = row @ self.matrices[letter]
         return float(row @ self.gamma)
 
-    def shift_output(self, prefix: Word) -> "LinearRepresentation":
-        """Representation of the left-shifted series prefix^{-1}(c): the
-        prefix matrices are folded into the output row."""
-        row = self.lam
-        for letter in prefix:
-            row = row @ self.matrices[letter]
-        return LinearRepresentation(self.matrices, self.gamma, row)
-
 
 class SeriesSpec:
     """A generating series over a fixed alphabet.
@@ -311,82 +295,6 @@ class SeriesSpec:
                 else "callback")
         name = f" {self.label!r}" if self.label else ""
         return f"SeriesSpec({kind}, m={self.alphabet.m}{name})"
-
-
-def shuffle(w1: Word, w2: Word) -> Polynomial:
-    """Shuffle product of two words as a polynomial with integer coefficients.
-
-    Defined inductively by
-    (x_i a) sh (x_j b) = x_i (a sh (x_j b)) + x_j ((x_i a) sh b),
-    with the empty word as unit.  The total coefficient mass is
-    binomial(|w1| + |w2|, |w1|).
-    """
-    w1, w2 = tuple(w1), tuple(w2)
-    memo: dict[tuple[Word, Word], dict[Word, float]] = {}
-
-    def rec(a: Word, b: Word) -> dict[Word, float]:
-        if not a:
-            return {b: 1.0}
-        if not b:
-            return {a: 1.0}
-        key = (a, b)
-        if key in memo:
-            return memo[key]
-        out: dict[Word, float] = {}
-        for w, coeff in rec(a[1:], b).items():
-            head = (a[0],) + w
-            out[head] = out.get(head, 0.0) + coeff
-        for w, coeff in rec(a, b[1:]).items():
-            head = (b[0],) + w
-            out[head] = out.get(head, 0.0) + coeff
-        memo[key] = out
-        return out
-
-    return Polynomial(rec(w1, w2))
-
-
-def shuffle_power(w: Word, j: int) -> Polynomial:
-    """j-fold shuffle of a word with itself (j = 0 gives the unit)."""
-    result = Polynomial.one()
-    for _ in range(j):
-        acc: dict[Word, float] = {}
-        for wr, cr in result.terms.items():
-            for ws, cs in shuffle(wr, w).terms.items():
-                acc[ws] = acc.get(ws, 0.0) + cr * cs
-        result = Polynomial(acc)
-    return result
-
-
-def left_shift(prefix: Word, s: SeriesSpec) -> SeriesSpec:
-    """The series eta -> (c, prefix . eta) obtained by removing ``prefix``
-    from the front of every word.
-
-    For a polynomial source the surviving terms are re-keyed; for a
-    representation the prefix matrices are folded into the output row
-    (coefficient(x_j eta) = (lam A_j) mu(eta) gamma); for a callback the
-    prefix is prepended before each query.  A declared growth class does not
-    transfer verbatim, so the shifted series carries none.
-    """
-    prefix = s.alphabet.check_word(prefix)
-    if not prefix:
-        return s
-    if s.polynomial is not None:
-        k = len(prefix)
-        shifted = {w[k:]: coeff for w, coeff in s.polynomial.terms.items()
-                   if w[:k] == prefix}
-        return SeriesSpec(s.alphabet, polynomial=Polynomial(shifted))
-    if s.representation is not None:
-        return SeriesSpec(
-            s.alphabet,
-            representation=s.representation.shift_output(prefix),
-            support_letters=s.support_letters,
-        )
-    inner = s.callback
-    return SeriesSpec(
-        s.alphabet,
-        callback=lambda w, _p=prefix, _f=inner: _f(_p + tuple(w)),
-        support_letters=s.support_letters,
-    )
 
 
 def count_words_upto(q: int, max_len: int, cap: int = DEFAULT_WORD_CAP) -> int:

@@ -1,5 +1,5 @@
 """A-priori error bounds for truncated series functionals and their
-discrete-time approximations, plus convergence-regime classification.
+discrete-time approximations, plus the regime warnings that go with them.
 
 The two error sources are kept separate everywhere:
 
@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
-from .algebra import DomainError, Growth, GrowthClass, SeriesSpec, Word, word_length_counts
+from .algebra import DomainError, Growth, GrowthClass, SeriesSpec
 from .signals import ContinuousInput, DiscreteInput, l1_norm
 
 
@@ -129,15 +128,6 @@ def lc_bounds(b: BoundInputs, formula: str = "statement") -> BoundReport:
     return BoundReport(e_hat, e_tail, shat, s, mode=f"lc/{formula}", regime_warnings=warnings)
 
 
-def lc_simplified(b: BoundInputs) -> float:
-    """Large-L, large-J simplification K shat^2 / (L (1-shat)^3); the limit of
-    the statement-mode e_hat as J grows."""
-    shat = b.s_hat
-    if shat >= 1.0:
-        raise Divergent("s_hat", shat)
-    return b.K * shat**2 / (b.L * (1.0 - shat) ** 3)
-
-
 def gamma_upper_regularized(order: int, x: float) -> float:
     """Regularized upper incomplete gamma Q(order, x) for integer order >= 1,
     via the finite identity Q(order, x) = e^{-x} sum_{j=0}^{order-1} x^j/j!,
@@ -197,77 +187,6 @@ def gc_bounds(b: BoundInputs) -> BoundReport:
     e_hat = (b.K / (2.0 * b.L)) * math.exp(shat) * shat**2 * gamma_upper_regularized(b.J + 1, shat)
     e_tail = b.K * _exp_tail(s, b.J)
     return BoundReport(e_hat, e_tail, shat, s, mode="gc")
-
-
-def gc_simplified(b: BoundInputs) -> float:
-    """Large-J simplification (K/2L) e^{shat} shat^2 (Q -> 1)."""
-    return (b.K / (2.0 * b.L)) * math.exp(b.s_hat) * b.s_hat**2
-
-
-def single_integral_error_bound(word_len: int, T: float, L: int, norm_u: float) -> float:
-    """Asymptotic bound (T^j / L) * norm_u^j / (2 (j-2)!) on the difference
-    between one iterated sum S_eta(L) and its iterated integral E_eta(T),
-    where norm_u is the sup of |uhat/Delta| over steps and channels.
-
-    Vacuous for words shorter than 2 (with exact increments the two sides
-    coincide for j <= 1), hence DomainError there.  Halves when L doubles.
-    """
-    if word_len < 2:
-        raise DomainError(f"single-integral bound needs |eta| >= 2, got {word_len}")
-    if L < 1:
-        raise DomainError(f"need L >= 1, got {L}")
-    return (T**word_len / L) * norm_u**word_len / (2.0 * math.factorial(word_len - 2))
-
-
-def seta_bound(word_len: int, N: int, R_hat: float) -> float:
-    """|S_eta(N)| <= R_hat^|eta| * binomial(N-1+|eta|, |eta|) — one term per
-    non-increasing index assignment, each at most R_hat^|eta|.  Achieved with
-    equality by uhat identically R_hat."""
-    if word_len < 0 or N < 0:
-        raise DomainError("word length and step count must be nonnegative")
-    return R_hat**word_len * math.comb(N - 1 + word_len, word_len)
-
-
-def eeta_bound(eta: Word, channel_l1: Sequence[float]) -> float:
-    """|E_eta(T)| <= prod_i U_i^{n_i} / n_i! where n_i counts letter i in eta
-    and U_i is the L1 norm of channel i over [0, T] (U_0 = T).  Achieved with
-    equality by constant-sign inputs."""
-    for U in channel_l1:
-        if U < 0:
-            raise DomainError("channel L1 norms must be nonnegative")
-    m = len(channel_l1) - 1
-    for letter in eta:
-        if not 0 <= letter <= m:
-            raise DomainError(f"letter {letter} has no L1 norm among U_0..U_{m}")
-    counts = word_length_counts(tuple(eta), m)
-    out = 1.0
-    for U, n in zip(channel_l1, counts):
-        out *= U**n / math.factorial(n)
-    return out
-
-
-@dataclass(frozen=True)
-class ConvergenceRegimes:
-    continuous: str
-    discrete: str
-    #: for GC series the discrete side converges only locally; this is the
-    #: increment-norm radius 1/(M(m+1)) inside which it does
-    discrete_radius: Optional[float] = None
-
-
-def classify_convergence(g: GrowthClass, m: int = 0) -> ConvergenceRegimes:
-    """Which convergence regime the continuous and discrete functionals
-    inherit from the coefficient growth class:
-
-        LC               -> (LC, divergent)
-        GC               -> (GC, LC) with radius ||uhat||_inf < 1/(M(m+1))
-        FACTORIAL_DECAY  -> (at least GC, GC)
-    """
-    if g.kind is Growth.LC:
-        return ConvergenceRegimes("LC", "divergent")
-    if g.kind is Growth.GC:
-        return ConvergenceRegimes("GC", "LC", discrete_radius=1.0 / (g.M * (m + 1)))
-    return ConvergenceRegimes("at least GC", "GC")
 
 
 def effective_alphabet(c: SeriesSpec) -> tuple[int, tuple[int, ...]]:

@@ -291,6 +291,8 @@ def _parse_system(doc: dict) -> tuple[SeriesSpec, Optional[Callable[[float], flo
 
 def _parse_channel(doc: dict, path: str) -> tuple[Channel, str]:
     """A channel and its label in the report's input column."""
+    if not isinstance(doc, dict):
+        raise DomainError(f"{path} must be a dict, got {doc!r}")
     kind = doc.get("kind")
     if kind == "constant":
         level = _finite(doc["level"], f"{path}.level")
@@ -316,8 +318,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
     J, m) non-integral field; numbers given as strings are read as numbers."""
     try:
         series, analytic, sys_label = _parse_system(doc["system"])
-        parsed = [_parse_channel(ch, f"input.channels.{i}")
-                  for i, ch in enumerate(doc["input"]["channels"])]
+        channels = doc["input"]["channels"]
+        if not isinstance(channels, list):
+            raise DomainError(f"input.channels must be a list, got {channels!r}")
+        parsed = [_parse_channel(ch, f"input.channels.{i}") for i, ch in enumerate(channels)]
         u = ContinuousInput([ch for ch, _ in parsed], _finite(doc["T"], "T"),
                             label=", ".join(label for _, label in parsed))
         cfg = ExperimentConfig(
@@ -342,7 +346,7 @@ def load_config(path: str) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DomainError(f"config is not valid JSON: {exc}") from exc
     return parse_config(doc)
 
@@ -381,10 +385,14 @@ def _continuous_output(cfg: ExperimentConfig,
                        times: np.ndarray) -> tuple[np.ndarray, str, list[str]]:
     """y at each of ``times``, the route that computed it, and its warnings.
     The routes: a builtin's exact output from the running integral; one RK4
-    pass on a fine uniform grid for a representation, interpolated (the
-    bilinear flow is smooth, so this stays far below CSV precision); a
-    polynomial's series truncated at its degree, which is exact; a callback
-    series truncated at J.  The series routes make one Romberg sweep."""
+    pass on a fine uniform grid for a representation, interpolated linearly
+    between its nodes; a polynomial's series truncated at its degree, which
+    is exact; a callback series truncated at J.  The series routes make one
+    Romberg sweep.  The interpolation is not below CSV precision everywhere:
+    on configs/geometric_resolvent.json at resolution 200, 7 of 249 cells
+    differ from exp(t) in the sixth digit (relative error up to 1.25e-7).
+    ROADMAP item 1 replaces this route; it changes the benchmark's golden
+    trajectories, so it waits for a benchmark change."""
     if cfg.analytic_output is not None:
         return cfg.analytic_output(cfg.input.increment(1, 0.0, times)), "analytic", []
     if cfg.series.representation is not None:

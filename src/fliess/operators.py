@@ -298,14 +298,3 @@ def dt_fliess_trajectory(
         dots = [np.full(len(vs[0]), y0)] + [v @ w for v, w in zip(vs[1:], weights[1:])]
         out.append(_exact_row_sums(dots))
     return np.concatenate(out)
-
-
-def dt_fliess_truncated(
-    c: SeriesSpec,
-    uhat: DiscreteInput,
-    J: int,
-    cap: int = DEFAULT_WORD_CAP,
-) -> float:
-    """Truncated discrete-time series functional
-    sum_{|eta| <= J} (c, eta) S_eta[uhat](L) at the last step."""
-    return float(dt_fliess_trajectory(c, uhat, J, cap=cap)[-1])

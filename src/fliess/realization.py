@@ -12,11 +12,13 @@ whenever that series converges — no truncation order appears anywhere.
 The backward map z(N) = [I - sum_j A_j uhat_j(N+1)] z(N+1) inverts each
 step without any linear solve.
 
-"Sufficiently small increments" is made operational by two policies:
-``strict_norm`` demands the induced infinity norm of sum_j A_j uhat_j stay
-below 1 - 1e-9, a sufficient condition for the resolvent to exist;
-``solve_with_residual`` just solves and checks the residual, admitting
-increments the conservative test would reject.
+The realization holds only for increments small enough that the word
+series converges, and one rule, ``strict_norm``, makes that premise
+operational: the induced infinity norm of sum_j A_j uhat_j must stay below
+1 - 1e-9.  Below it the Neumann series of the resolvent converges, so
+(I - B)^{-1} exists and the recursion sums the series; a step that breaks
+the rule raises PolicyViolation instead of returning a number the series
+does not produce.
 
 The continuous reference is classical RK4 on the bilinear system.  Its field
 is linear in z, so each step is a product z' = Phi_k z with a one-step
@@ -29,11 +31,9 @@ RK4 products, and forward the resolvents (I - B(N))^{-1} from one batched
 solve, after one ``strict_norm`` check for the whole stack.  The block's
 states then come from _chain, which multiplies the propagators pairwise in
 about log2(steps) batched levels instead of one matvec per step.  Forward,
-the states are checked afterwards: ``solve_with_residual`` applies its
-residual rule to every step of the block at once, and a block that fails
-it, or whose solve fails or whose states are not finite, reruns one
-resolvent solve per step, so the error names the failing step (NonFinite
-for the first state that overflows).
+a block whose solve fails or whose states are not finite reruns one
+resolvent solve per step, so the error names the failing step
+(SingularTransition, or NonFinite for the first state that overflows).
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .signals import ContinuousInput, DiscreteInput
 # floats per stacked (steps, dim, dim) array in one time block: keeps a
 # block's memory small and flat in the horizon
 _BLOCK_FLOATS = 2 ** 14
-# the ``strict_norm`` policy needs ||sum_j A_j uhat_j||_inf below this
+# the ``strict_norm`` rule needs ||sum_j A_j uhat_j||_inf below this
 _NORM_THRESHOLD = 1.0 - 1e-9
 # RK4 blocks whose stage bound stays below this cannot overflow
 _OVERFLOW_GUARD = 0.5 * np.finfo(float).max
@@ -68,7 +68,7 @@ class SingularTransition(_StepFailure):
 
 
 class PolicyViolation(_StepFailure):
-    """The conservative increment-size test failed before the solve."""
+    """The ``strict_norm`` increment-size test failed before the solve."""
 
 
 class NonFinite(_StepFailure):
@@ -77,16 +77,10 @@ class NonFinite(_StepFailure):
 
 @dataclass(frozen=True)
 class StateAffineSystem:
-    """A rational-input state-affine system in resolvent form."""
+    """A rational-input state-affine system in resolvent form.  Its steps
+    run only under the ``strict_norm`` rule, the realization's premise."""
 
     rep: LinearRepresentation
-    invertibility_policy: str = "strict_norm"
-
-    def __post_init__(self):
-        if self.invertibility_policy not in ("strict_norm", "solve_with_residual"):
-            raise DomainError(
-                f"unknown invertibility policy {self.invertibility_policy!r}"
-            )
 
     @property
     def dim(self) -> int:
@@ -135,12 +129,10 @@ def _step_error(cls, message: str, step: Optional[int]):
     return cls(message if step is None else f"step {step}: {message}", step)
 
 
-def _check_norms(sys: StateAffineSystem, B: np.ndarray, first_step: Optional[int] = None) -> None:
+def _check_norms(B: np.ndarray, first_step: Optional[int] = None) -> None:
     """The ``strict_norm`` test on a stack B of increment matrices: raise
     PolicyViolation at the first whose induced infinity norm reaches the
     threshold.  ``first_step`` is the step number of B[0], if it has one."""
-    if sys.invertibility_policy != "strict_norm":
-        return
     norms = np.abs(B).sum(axis=-1).max(axis=-1, initial=0.0).reshape(-1)
     bad = np.flatnonzero(~(norms < _NORM_THRESHOLD))  # a NaN norm fails too
     if bad.size:
@@ -153,29 +145,13 @@ def _check_norms(sys: StateAffineSystem, B: np.ndarray, first_step: Optional[int
         )
 
 
-def _residual_ok(residual, scale):
-    """The ``solve_with_residual`` rule, elementwise: a step from z passes if
-    its residual stays below 1e-10 * ||z||; a NaN residual fails."""
-    return residual <= 1e-10 * np.maximum(scale, 1e-300)
-
-
-def _solve(sys: StateAffineSystem, matrix: np.ndarray, z: np.ndarray, step: Optional[int] = None) -> np.ndarray:
-    """Solve matrix @ z' = z; under ``solve_with_residual`` also demand a
-    residual below 1e-10 * ||z||.  Failures raise SingularTransition, and a
-    z' that is not finite (the state overflowed) raises NonFinite."""
+def _solve(matrix: np.ndarray, z: np.ndarray, step: Optional[int] = None) -> np.ndarray:
+    """Solve matrix @ z' = z.  A failed solve raises SingularTransition, and
+    a z' that is not finite (the state overflowed) raises NonFinite."""
     try:
         z_next = np.linalg.solve(matrix, z)
     except np.linalg.LinAlgError as exc:
         raise _step_error(SingularTransition, f"resolvent solve failed: {exc}", step) from exc
-    if sys.invertibility_policy == "solve_with_residual":
-        residual = float(np.max(np.abs(matrix @ z_next - z), initial=0.0))
-        scale = float(np.max(np.abs(z), initial=0.0))
-        if not _residual_ok(residual, scale):
-            raise _step_error(
-                SingularTransition,
-                f"resolvent solve residual {residual:g} too large (state norm {scale:g})",
-                step,
-            )
     if not np.isfinite(z_next).all():
         raise _step_error(NonFinite, "state non-finite after the resolvent solve", step)
     return z_next
@@ -186,17 +162,15 @@ def forward_step(sys: StateAffineSystem, z: np.ndarray, u_next: np.ndarray) -> n
 
     This is the implicit (backward-Euler-like) discretization of the
     bilinear system, z' = z + sum_j A_j uhat_j z'.  The system is solved,
-    never inverted.  Under ``strict_norm`` the induced infinity norm of the
-    increment matrix must stay below the threshold (which guarantees
-    solvability); under ``solve_with_residual`` any solve whose residual
-    stays below 1e-10 * ||z|| is accepted.  A state that is not finite
-    raises NonFinite (under ``solve_with_residual`` its residual fails
-    first).
+    never inverted.  The increment matrix must pass ``strict_norm``: its
+    induced infinity norm below the threshold guarantees solvability and is
+    the premise under which the step realizes the series (PolicyViolation
+    otherwise).  A state that is not finite raises NonFinite.
     """
     z = np.asarray(z, dtype=float).reshape(sys.dim)
     B = sys.rep.letter_sum(u_next)
-    _check_norms(sys, B)
-    return _solve(sys, np.eye(sys.dim) - B, z)
+    _check_norms(B)
+    return _solve(np.eye(sys.dim) - B, z)
 
 
 def backward_step(sys: StateAffineSystem, z_next: np.ndarray, u_next: np.ndarray) -> np.ndarray:
@@ -217,13 +191,13 @@ def _step_count(sys: StateAffineSystem, uhat: DiscreteInput, N_f: Optional[int])
     return N_f
 
 
-def _forward_block(sys: StateAffineSystem, M: np.ndarray, z: np.ndarray, first_step: int) -> np.ndarray:
+def _forward_block(M: np.ndarray, z: np.ndarray, first_step: int) -> np.ndarray:
     """The states after each step of one time block of the forward recursion
-    from z, where M stacks the block's I - B(N) from step ``first_step`` on.
+    from z, where M stacks the block's I - B(N) from step ``first_step`` on;
+    the caller has checked ``strict_norm`` on them.
 
     The resolvents come from one batched solve against I and the states
-    from _chain.  If that solve fails, a state is not finite, or under
-    ``solve_with_residual`` some step misses the residual rule, the block
+    from _chain.  If that solve fails or a state is not finite, the block
     reruns with one solve per step, which raises at the failing step."""
     # overflow is detected and handled below, not propagated as a warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -231,16 +205,11 @@ def _forward_block(sys: StateAffineSystem, M: np.ndarray, z: np.ndarray, first_s
             states = _chain(np.linalg.inv(M), z)
         except np.linalg.LinAlgError:
             states = None
-        ok = states is not None and bool(np.isfinite(states).all())
-        if ok and sys.invertibility_policy == "solve_with_residual":
-            before = np.vstack([z, states[:-1]])
-            residual = np.abs(np.einsum("kij,kj->ki", M, states) - before).max(axis=-1)
-            ok = bool(_residual_ok(residual, np.abs(before).max(axis=-1)).all())
-    if ok:
+    if states is not None and np.isfinite(states).all():
         return states
     states = np.empty((len(M), len(z)))
     for k in range(len(M)):
-        z = states[k] = _solve(sys, M[k], z, step=first_step + k)
+        z = states[k] = _solve(M[k], z, step=first_step + k)
     return states
 
 
@@ -248,16 +217,16 @@ def simulate_forward(sys: StateAffineSystem, uhat: DiscreteInput, N_f: Optional[
     """Run the forward recursion from z(0) = gamma for N_f steps.
 
     The output sequence equals the untruncated discrete-time functional of
-    the represented series at every step.  Steps run in time blocks: the
+    the represented series at every step, provided every step's increments
+    pass ``strict_norm``, the premise of that identity; the first step that
+    breaks it raises PolicyViolation.  Steps run in time blocks: the
     increment matrices B(N) of a block are built in one call and pass the
-    ``strict_norm`` test together, their resolvents (I - B(N))^{-1} come from
-    one batched solve, and the states from pairwise products of those
-    resolvents (_chain).  The ``solve_with_residual`` rule is checked on the
-    resulting states, step by step.  A block whose solve or residual fails,
-    or whose states are not finite, reruns one solve per step, so step
-    failures propagate with the failing step index attached.  The first
-    state that overflows raises NonFinite under ``strict_norm``, and fails
-    the residual rule under ``solve_with_residual``.
+    test together, their resolvents (I - B(N))^{-1} come from one batched
+    solve, and the states from pairwise products of those resolvents
+    (_chain).  A block whose solve fails or whose states are not finite
+    reruns one solve per step, so step failures propagate with the failing
+    step index attached: SingularTransition, or NonFinite for the first
+    state that overflows.
     """
     N_f = _step_count(sys, uhat, N_f)
     states = np.empty((N_f + 1, sys.dim))
@@ -266,8 +235,8 @@ def simulate_forward(sys: StateAffineSystem, uhat: DiscreteInput, N_f: Optional[
     for start in range(0, N_f, block):
         stop = min(start + block, N_f)
         B = sys.rep.letter_sum(uhat.values[start:stop])
-        _check_norms(sys, B, first_step=start + 1)
-        states[start + 1:stop + 1] = _forward_block(sys, np.eye(sys.dim) - B, states[start], start + 1)
+        _check_norms(B, first_step=start + 1)
+        states[start + 1:stop + 1] = _forward_block(np.eye(sys.dim) - B, states[start], start + 1)
     return Trajectory(states, states @ sys.rep.lam)
 
 

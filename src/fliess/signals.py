@@ -297,13 +297,16 @@ class DiscreteInput:
     values: np.ndarray  # shape (L, m+1); column 0 is the drift increment Delta
 
     def __post_init__(self):
-        if self.values.shape != (self.L, self.m + 1):
+        # freeze a copy: the caller's array stays writable
+        values = np.array(self.values, dtype=float)
+        if values.shape != (self.L, self.m + 1):
             raise DomainError(
-                f"values must have shape ({self.L}, {self.m + 1}), got {self.values.shape}"
+                f"values must have shape ({self.L}, {self.m + 1}), got {values.shape}"
             )
-        if not np.allclose(self.values[:, 0], self.delta, rtol=0.0, atol=1e-15):
+        if not np.allclose(values[:, 0], self.delta, rtol=0.0, atol=1e-15):
             raise DomainError("drift increments uhat_0(N) must all equal Delta")
-        self.values.flags.writeable = False
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     @property
     def T(self) -> float:
@@ -327,7 +330,7 @@ class DiscreteInput:
     def prefix(self, N: int) -> "DiscreteInput":
         if not 0 <= N <= self.L:
             raise DomainError(f"step count {N} outside 0..{self.L}")
-        return DiscreteInput(self.m, N, self.delta, self.values[:N].copy())
+        return DiscreteInput(self.m, N, self.delta, self.values[:N])
 
 
 def discretize(u: ContinuousInput, L: int, rule: str = "exact") -> DiscreteInput:

@@ -1,5 +1,5 @@
-"""Per-word closed forms and identity residuals that the tests check the
-library's graded recursions against.  None of them is on a production path:
+"""Per-word closed forms, lemma-level helpers and identity residuals that
+the tests check the library against.  None of them is on a production path:
 
 * iterated_integral_pc — E_eta[u](t) in closed form for piecewise-constant
   inputs;
@@ -9,6 +9,13 @@ library's graded recursions against.  None of them is on a production path:
   graded recursion replaces;
 * one_step_identity_check — the residual of the one-step shift identity
   that ties the discrete functional to its left-shifted series;
+* word_length_counts, shuffle and left_shift — letter counts, the shuffle
+  product of two words, and the left-shifted series (a representation folds
+  the prefix matrices into its output row);
+* seta_bound, eeta_bound and single_integral_error_bound — the per-word
+  bounds on |S_eta|, |E_eta| and their difference;
+* lc_simplified and gc_simplified — the large-J closed forms that the
+  e_hat formulas of lc_bounds and gc_bounds tend to;
 * scalar_channel and discretize_per_step — each channel kind's increment and
   absolute-value integrals over one interval per call, and the exact
   discretization built from them one step at a time: the scalar loops that
@@ -30,11 +37,14 @@ from fliess.algebra import (
     Alphabet,
     CapExceeded,
     DomainError,
+    LinearRepresentation,
+    Polynomial,
     SeriesSpec,
-    left_shift,
+    Word,
 )
+from fliess.bounds import BoundInputs, Divergent
 from fliess.harness import ExperimentConfig, _continuous_output, format_float
-from fliess.operators import dt_fliess_trajectory, dt_fliess_truncated
+from fliess.operators import dt_fliess_trajectory
 from fliess.realization import StateAffineSystem, simulate_forward
 from fliess.signals import (
     CatenatedChannel,
@@ -171,8 +181,144 @@ def one_step_identity_check(
             uj = float(uhat.values[N, j])
             if uj != 0.0:
                 shifted = left_shift((j,), c)
-                rhs += uj * dt_fliess_truncated(shifted, uhat.prefix(N + 1), J - 1)
+                rhs += uj * dt_fliess_trajectory(shifted, uhat.prefix(N + 1), J - 1)[-1]
     return abs(lhs - rhs)
+
+
+# ---------------------------------------------------------------------------
+# series algebra and per-word bounds
+# ---------------------------------------------------------------------------
+
+def word_length_counts(w: Word, m: int) -> list[int]:
+    """Number of occurrences of each letter 0..m in ``w``."""
+    counts = [0] * (m + 1)
+    for letter in w:
+        counts[letter] += 1
+    return counts
+
+
+def shuffle(w1: Word, w2: Word) -> Polynomial:
+    """Shuffle product of two words as a polynomial with integer coefficients.
+
+    Defined inductively by
+    (x_i a) sh (x_j b) = x_i (a sh (x_j b)) + x_j ((x_i a) sh b),
+    with the empty word as unit.  The total coefficient mass is
+    binomial(|w1| + |w2|, |w1|).
+    """
+    w1, w2 = tuple(w1), tuple(w2)
+    memo: dict[tuple[Word, Word], dict[Word, float]] = {}
+
+    def rec(a: Word, b: Word) -> dict[Word, float]:
+        if not a:
+            return {b: 1.0}
+        if not b:
+            return {a: 1.0}
+        key = (a, b)
+        if key in memo:
+            return memo[key]
+        out: dict[Word, float] = {}
+        for w, coeff in rec(a[1:], b).items():
+            head = (a[0],) + w
+            out[head] = out.get(head, 0.0) + coeff
+        for w, coeff in rec(a, b[1:]).items():
+            head = (b[0],) + w
+            out[head] = out.get(head, 0.0) + coeff
+        memo[key] = out
+        return out
+
+    return Polynomial(rec(w1, w2))
+
+
+def left_shift(prefix: Word, s: SeriesSpec) -> SeriesSpec:
+    """The series eta -> (c, prefix . eta) obtained by removing ``prefix``
+    from the front of every word.
+
+    For a polynomial source the surviving terms are re-keyed; for a
+    representation the prefix matrices are folded into the output row
+    (coefficient(x_j eta) = (lam A_j) mu(eta) gamma); for a callback the
+    prefix is prepended before each query.  A declared growth class does not
+    transfer verbatim, so the shifted series carries none.
+    """
+    prefix = s.alphabet.check_word(prefix)
+    if not prefix:
+        return s
+    if s.polynomial is not None:
+        k = len(prefix)
+        shifted = {w[k:]: coeff for w, coeff in s.polynomial.terms.items()
+                   if w[:k] == prefix}
+        return SeriesSpec(s.alphabet, polynomial=Polynomial(shifted))
+    if s.representation is not None:
+        rep = s.representation
+        row = rep.lam
+        for letter in prefix:
+            row = row @ rep.matrices[letter]
+        return SeriesSpec(
+            s.alphabet,
+            representation=LinearRepresentation(rep.matrices, rep.gamma, row),
+            support_letters=s.support_letters,
+        )
+    inner = s.callback
+    return SeriesSpec(
+        s.alphabet,
+        callback=lambda w, _p=prefix, _f=inner: _f(_p + tuple(w)),
+        support_letters=s.support_letters,
+    )
+
+
+def single_integral_error_bound(word_len: int, T: float, L: int, norm_u: float) -> float:
+    """Asymptotic bound (T^j / L) * norm_u^j / (2 (j-2)!) on the difference
+    between one iterated sum S_eta(L) and its iterated integral E_eta(T),
+    where norm_u is the sup of |uhat/Delta| over steps and channels.
+
+    Vacuous for words shorter than 2 (with exact increments the two sides
+    coincide for j <= 1), hence DomainError there.  Halves when L doubles.
+    """
+    if word_len < 2:
+        raise DomainError(f"single-integral bound needs |eta| >= 2, got {word_len}")
+    if L < 1:
+        raise DomainError(f"need L >= 1, got {L}")
+    return (T**word_len / L) * norm_u**word_len / (2.0 * math.factorial(word_len - 2))
+
+
+def seta_bound(word_len: int, N: int, R_hat: float) -> float:
+    """|S_eta(N)| <= R_hat^|eta| * binomial(N-1+|eta|, |eta|) — one term per
+    non-increasing index assignment, each at most R_hat^|eta|.  Achieved with
+    equality by uhat identically R_hat."""
+    if word_len < 0 or N < 0:
+        raise DomainError("word length and step count must be nonnegative")
+    return R_hat**word_len * math.comb(N - 1 + word_len, word_len)
+
+
+def eeta_bound(eta: Word, channel_l1: Sequence[float]) -> float:
+    """|E_eta(T)| <= prod_i U_i^{n_i} / n_i! where n_i counts letter i in eta
+    and U_i is the L1 norm of channel i over [0, T] (U_0 = T).  Achieved with
+    equality by constant-sign inputs."""
+    for U in channel_l1:
+        if U < 0:
+            raise DomainError("channel L1 norms must be nonnegative")
+    m = len(channel_l1) - 1
+    for letter in eta:
+        if not 0 <= letter <= m:
+            raise DomainError(f"letter {letter} has no L1 norm among U_0..U_{m}")
+    counts = word_length_counts(tuple(eta), m)
+    out = 1.0
+    for U, n in zip(channel_l1, counts):
+        out *= U**n / math.factorial(n)
+    return out
+
+
+def lc_simplified(b: BoundInputs) -> float:
+    """Large-L, large-J simplification K shat^2 / (L (1-shat)^3); the limit of
+    the statement-mode e_hat as J grows."""
+    shat = b.s_hat
+    if shat >= 1.0:
+        raise Divergent("s_hat", shat)
+    return b.K * shat**2 / (b.L * (1.0 - shat) ** 3)
+
+
+def gc_simplified(b: BoundInputs) -> float:
+    """Large-J simplification (K/2L) e^{shat} shat^2 (Q -> 1)."""
+    return (b.K / (2.0 * b.L)) * math.exp(b.s_hat) * b.s_hat**2
 
 
 # ---------------------------------------------------------------------------

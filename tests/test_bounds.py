@@ -1,4 +1,4 @@
-"""Truncation error bounds, convergence classification, and regime advice.
+"""Truncation error bounds, per-word bounds, and regime advice.
 
 Hand-derivable values are pinned exactly; scipy.special supplies an
 independent route for the incomplete-gamma identities.
@@ -22,18 +22,12 @@ from fliess.bounds import (
     BoundInputs,
     Divergent,
     bound_inputs,
-    classify_convergence,
     dt_tail_bound,
-    eeta_bound,
     effective_alphabet,
     gamma_upper_regularized,
     gc_bounds,
-    gc_simplified,
     lc_bounds,
-    lc_simplified,
     regime_warnings,
-    seta_bound,
-    single_integral_error_bound,
 )
 from fliess.operators import iterated_sum
 from fliess.signals import (
@@ -45,7 +39,14 @@ from fliess.signals import (
 )
 
 from conftest import random_pc_input
-from oracles import iterated_integral_pc
+from oracles import (
+    eeta_bound,
+    gc_simplified,
+    iterated_integral_pc,
+    lc_simplified,
+    seta_bound,
+    single_integral_error_bound,
+)
 
 TABLE_CASE_LC = BoundInputs(K=1, M=1, m=0, L=50, J=10, norm_uhat=0.01, Rbar=0.5)
 TABLE_CASE_GC = BoundInputs(K=1, M=1, m=0, L=50, J=10, norm_uhat=0.04, Rbar=2.0)
@@ -306,17 +307,6 @@ def test_eeta_bound_letter_validation():
 # ---------------------------------------------------------------------------
 # regimes
 # ---------------------------------------------------------------------------
-
-def test_classify_convergence():
-    lc = classify_convergence(GrowthClass(Growth.LC, 1, 1))
-    assert (lc.continuous, lc.discrete) == ("LC", "divergent")
-    assert lc.discrete_radius is None
-    gc = classify_convergence(GrowthClass(Growth.GC, 1, 2), m=1)
-    assert (gc.continuous, gc.discrete) == ("GC", "LC")
-    assert gc.discrete_radius == pytest.approx(1.0 / 4.0)
-    fd = classify_convergence(GrowthClass(Growth.FACTORIAL_DECAY, 1, 1))
-    assert fd.discrete == "GC"
-
 
 def test_effective_alphabet():
     c = SeriesSpec(Alphabet(2), polynomial=Polynomial({(1,): 1.0}))

@@ -610,6 +610,9 @@ POLY_SYSTEM = {"polynomial": {"m": 1, "terms": [{"word": [1], "coeff": 1.0}],
         ({"system": {"polynomial": dict(POLY_SYSTEM["polynomial"],
                                         terms=[{"word": [True], "coeff": 1.0}])}},
          "letter True is not an integer"),
+        ({"input": {"channels": ["constant"]}}, "input.channels.0 must be a dict"),
+        ({"input": {"channels": {"kind": "constant", "level": 1}}},
+         "input.channels must be a list"),
     ],
 )
 def test_cli_rejects_non_numbers_in_typed_fields_exit_2(tmp_path, doc_mutation, message, capsys):
@@ -717,6 +720,15 @@ def test_cli_missing_and_malformed_files(tmp_path, capsys):
     bad.write_text("[1, 2,")
     assert cli.main(["run", str(bad)]) == 2
     capsys.readouterr()
+
+
+def test_cli_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(json.dumps(dict(BASE_DOC, label="x")).encode().replace(b'"x"', b'"\xff"'))
+    assert cli.main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: config is not valid JSON: 'utf-8' codec can't decode")
 
 
 def test_cli_warnings_go_to_stderr(tmp_path, capsys):

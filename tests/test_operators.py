@@ -16,14 +16,12 @@ from fliess.algebra import (
     Polynomial,
     SeriesSpec,
     enumerate_words_upto,
-    shuffle,
 )
 import fliess.operators as operators
 from fliess.operators import (
     _BLOCK_FLOATS,
     chen_truncation,
     dt_fliess_trajectory,
-    dt_fliess_truncated,
     fliess_truncated,
     iterated_integral,
     iterated_sum,
@@ -41,7 +39,7 @@ from fliess.signals import (
 )
 
 from conftest import random_pc_input, random_polynomial_series
-from oracles import iterated_integral_pc, iterated_sum_cumsum, iterated_sum_partition
+from oracles import iterated_integral_pc, iterated_sum_cumsum, iterated_sum_partition, shuffle
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +348,7 @@ def test_dt_fliess_representation_memory_stays_flat(rng):
 def test_dt_fliess_truncated_result_fields():
     c = SeriesSpec(Alphabet(1), polynomial=Polynomial({(): 2.0, (1,): 1.0}))
     uhat = discretize(constant_input(3.0, 1.0), 4)
-    res = dt_fliess_truncated(c, uhat, J=2)
+    res = dt_fliess_trajectory(c, uhat, J=2)[-1]
     assert isinstance(res, float)
     assert res == pytest.approx(2.0 + 3.0)  # 2 + sum of increments
 
@@ -380,7 +378,7 @@ def test_dt_fliess_cap():
     c = SeriesSpec(Alphabet(2), callback=lambda w: 1.0)
     uhat = discretize(constant_input([1.0, 1.0], 1.0), 4)
     with pytest.raises(CapExceeded):
-        dt_fliess_truncated(c, uhat, J=8, cap=1000)
+        dt_fliess_trajectory(c, uhat, J=8, cap=1000)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +409,7 @@ def test_polynomial_evaluates_only_its_support_words():
     u = ContinuousInput([SinusoidChannel(1.0, 3.0), SinusoidChannel(0.5, 7.0)], 1.0)
     uhat = discretize(u, 40)
     assert fliess_truncated(c, u, 25) == fliess_truncated(c, u, 2)
-    assert dt_fliess_truncated(c, uhat, 25) == dt_fliess_truncated(c, uhat, 2)
+    assert dt_fliess_trajectory(c, uhat, 25)[-1] == dt_fliess_trajectory(c, uhat, 2)[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from fliess.realization import (
     NonFinite,
     _block_steps,
     _chain,
+    _forward_block,
     PolicyViolation,
     SingularTransition,
     StateAffineSystem,
@@ -88,21 +89,6 @@ def test_strict_norm_policy_rejects_large_increments():
     sys = StateAffineSystem(geometric_rep())
     with pytest.raises(PolicyViolation):
         forward_step(sys, np.array([1.0]), np.array([0.0, 1.0]))
-
-
-def test_solve_with_residual_raises_on_singular():
-    sys = StateAffineSystem(geometric_rep(), invertibility_policy="solve_with_residual")
-    # I - B is exactly the zero matrix here
-    with pytest.raises(SingularTransition):
-        forward_step(sys, np.array([1.0]), np.array([0.0, 1.0]))
-    # but a merely large increment is fine under this policy
-    out = forward_step(sys, np.array([1.0]), np.array([0.0, 0.9]))
-    assert out[0] == pytest.approx(10.0)
-
-
-def test_unknown_policy_rejected():
-    with pytest.raises(DomainError):
-        StateAffineSystem(geometric_rep(), invertibility_policy="clip")
 
 
 def test_implicit_discretize_step_matches_forward():
@@ -191,39 +177,23 @@ def test_policy_violation_reports_step_in_later_block():
 
 
 def test_singular_step_reported_by_simulate_forward():
-    # I - B(N) = 0 exactly at one step of the second time block: the solve
-    # fails there under solve_with_residual
-    N = _block_steps(1) + 7
+    # I - B(N) = 0 exactly at one step of the second time block.  strict_norm
+    # rejects that step before any solve, so simulate_forward's block step
+    # runs on the stack directly: the batched solve fails, and the per-step
+    # rerun names the step
+    block = _block_steps(1)
+    N = block + 7
     L = N + 5
     values = np.column_stack([np.full(L, 1e-3), np.full(L, 1e-4)])
     values[N - 1, 1] = 1.0
-    uhat = DiscreteInput(m=1, L=L, delta=1e-3, values=values)
-    sys = StateAffineSystem(geometric_rep(), invertibility_policy="solve_with_residual")
+    M = np.eye(1) - geometric_rep().letter_sum(values[block:])
     with pytest.raises(SingularTransition) as exc:
-        simulate_forward(sys, uhat)
+        _forward_block(M, np.ones(1), first_step=block + 1)
     assert exc.value.step == N
     assert str(exc.value).startswith(f"step {N}: ")
 
 
-def test_residual_failure_reported_by_simulate_forward():
-    # I - B(N) is nearly singular at one step of the second time block: the
-    # block's states miss the residual rule, and the step rerun names it
-    A1 = np.full((2, 2), 0.5)
-    rep = LinearRepresentation([np.zeros((2, 2)), A1], np.array([1.0, 0.3]), np.array([1.0, 1.0]))
-    N = _block_steps(2) + 7
-    L = N + 5
-    values = np.column_stack([np.full(L, 1e-3), np.full(L, 1e-4)])
-    values[N - 1, 1] = 1.0 - 1e-9
-    uhat = DiscreteInput(m=1, L=L, delta=1e-3, values=values)
-    sys = StateAffineSystem(rep, invertibility_policy="solve_with_residual")
-    with pytest.raises(SingularTransition) as exc:
-        simulate_forward(sys, uhat)
-    assert exc.value.step == N
-    assert str(exc.value).startswith(f"step {N}: resolvent solve residual ")
-
-
-@pytest.mark.parametrize("policy", ["strict_norm", "solve_with_residual"])
-def test_forward_reruns_when_products_overflow(policy):
+def test_forward_reruns_when_products_overflow():
     # resolvents diag(10, 1/1.9) from gamma = (0, 1): the states decay, but
     # the pairwise products of 512 steps hold 10^512, and inf * 0 is NaN
     rep = LinearRepresentation([np.zeros((2, 2)), np.diag([1.0, -1.0])],
@@ -231,8 +201,7 @@ def test_forward_reruns_when_products_overflow(policy):
     L = 1000
     values = np.column_stack([np.full(L, 1e-3), np.full(L, 0.9)])
     uhat = DiscreteInput(m=1, L=L, delta=1e-3, values=values)
-    sys = StateAffineSystem(rep, invertibility_policy=policy)
-    states = simulate_forward(sys, uhat).states
+    states = simulate_forward(StateAffineSystem(rep), uhat).states
     assert np.all(states[:, 0] == 0.0)
     assert states[:, 1] == pytest.approx(1.9 ** -np.arange(L + 1), rel=1e-12, abs=0.0)
 
@@ -248,15 +217,15 @@ def test_ct_bilinear_reruns_when_products_overflow():
     assert outputs[-1] == pytest.approx(math.exp(-1.0), rel=1e-12)
 
 
-@pytest.mark.parametrize("policy, error", [("strict_norm", PolicyViolation),
-                                           ("solve_with_residual", SingularTransition)])
-def test_nan_increment_fails_both_policies(policy, error):
-    # a NaN norm or residual compares false against its threshold, so each
+# the ids keep the name of the invertibility rule the steps run under
+@pytest.mark.parametrize("error", [pytest.param(PolicyViolation, id="strict_norm-PolicyViolation")])
+def test_nan_increment_fails_both_policies(error):
+    # a NaN norm compares false against its threshold, so the strict_norm
     # test must be written to fail on it
     values = np.column_stack([np.full(5, 0.01), np.full(5, 0.01)])
     values[1, 1] = np.nan
     uhat = DiscreteInput(m=1, L=5, delta=0.01, values=values)
-    sys = StateAffineSystem(geometric_rep(), invertibility_policy=policy)
+    sys = StateAffineSystem(geometric_rep())
     with pytest.raises(error) as exc:
         simulate_forward(sys, uhat)
     assert exc.value.step == 2
@@ -265,14 +234,13 @@ def test_nan_increment_fails_both_policies(policy, error):
         forward_step(sys, np.ones(1), values[1])
 
 
-@pytest.mark.parametrize("policy, error", [("strict_norm", NonFinite),
-                                           ("solve_with_residual", SingularTransition)])
-def test_forward_overflow_names_the_first_step(policy, error):
+@pytest.mark.parametrize("error", [pytest.param(NonFinite, id="strict_norm-NonFinite")])
+def test_forward_overflow_names_the_first_step(error):
     # resolvent 1/(1 - 0.9) = 10 per step: 10^308 at step 308, inf at 309
     L = 340
     values = np.column_stack([np.full(L, 1.0 / L), np.full(L, 0.9)])
     uhat = DiscreteInput(m=1, L=L, delta=1.0 / L, values=values)
-    sys = StateAffineSystem(geometric_rep(), invertibility_policy=policy)
+    sys = StateAffineSystem(geometric_rep())
     with pytest.raises(error) as exc:
         simulate_forward(sys, uhat)
     assert exc.value.step == 309
@@ -299,16 +267,14 @@ def test_chain_matches_sequential_matvecs(rng, dim):
         assert np.max(np.abs(states - expected), initial=0.0) <= 1e-13 * scale, n
 
 
-@pytest.mark.parametrize("policy", ["strict_norm", "solve_with_residual"])
-@pytest.mark.parametrize("n, L_blocks", [(1, 1.5), (3, 2.2), (8, 3.4)])
-def test_simulate_matches_step_loops(rng, n, L_blocks, policy):
+@pytest.mark.parametrize("n, L_blocks", [(1, 1.5), (3, 2.2), (8, 3.4)],
+                         ids=["1-1.5-strict_norm", "3-2.2-strict_norm", "8-3.4-strict_norm"])
+def test_simulate_matches_step_loops(rng, n, L_blocks):
     # oracle: the public one-step maps, applied one step at a time
     L = int(L_blocks * _block_steps(n))
     mats = [rng.uniform(-1, 1, (n, n)) / n for _ in range(3)]
     sys = StateAffineSystem(
-        LinearRepresentation(mats, rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)),
-        invertibility_policy=policy,
-    )
+        LinearRepresentation(mats, rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)))
     uhat = random_uhat(rng, m=2, L=L, delta=2.0 / L, scale=4.0 / L)
     fwd = simulate_forward(sys, uhat)
     z = sys.rep.gamma.copy()

@@ -326,6 +326,12 @@ def test_discrete_input_invariants():
         uhat.prefix(5)
     with pytest.raises((ValueError, RuntimeError)):
         uhat.values[0, 0] = 99.0  # frozen storage
+    # the storage is a frozen copy: the caller's array stays writable
+    a = np.full((3, 2), 0.1)
+    frozen = DiscreteInput(1, 3, 0.1, a)
+    assert a.flags.writeable
+    a[0, 1] = 5.0
+    assert frozen.values[0, 1] == 0.1
 
 
 def test_discrete_input_drift_column_checked():
