@@ -216,13 +216,12 @@ def _format_column(values) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def _finite(value, path: str):
-    """``float(value)``, or nested lists of them, rejecting NaN and
+    """``float(value)``, or nested lists of them, rejecting booleans, NaN and
     infinities (also when given as strings such as ``"inf"``) by the field's
     path (e.g. ``input.channels.0.level``)."""
     if isinstance(value, (list, tuple)):
         return [_finite(v, f"{path}.{i}") for i, v in enumerate(value)]
-    x = float(value)
-    if not math.isfinite(x):
+    if isinstance(value, bool) or not math.isfinite(x := float(value)):
         raise DomainError(f"{path} must be a finite number, got {value!r}")
     return x
 

@@ -24,15 +24,17 @@ Romberg sweep serves every sample time: its grids are aligned to the
 breakpoints and to all sample times, so a whole trajectory costs one run of
 the recursion per level.  Each level gathers every sample's layer values as
 one array per layer and reads them in one call, so no Python code runs per
-sample; both sides sum a time's layer contributions exactly, by one helper
-(_exact_row_sums).  Representations enumerate no words and polynomials only
-their support words, so ``cap`` bounds callback series only.
+sample.  The recursion starts with node 0, so both sides read every node,
+t = 0 included, the same way: one plain numpy sum of the layer
+contributions in layer order (_layer_sum), which errs by at most about
+J eps sum_j |w_j . V_j|.  Representations enumerate no words and polynomials
+only their support words, so ``cap`` bounds callback series only.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -108,8 +110,9 @@ def _word_layers(c: SeriesSpec, J: int, cap: int = DEFAULT_WORD_CAP):
 
 
 def _graded(layers, rows: np.ndarray, panel: bool):
-    """Yield, per time block, the layer values [V_0, ..., V_J] at each of
-    its rows.  A block holds about _BLOCK_FLOATS floats in its widest array
+    """Yield the layer values [V_0, ..., V_J] at node 0 ([V_0, 0, ..., 0] as
+    one row), then per time block at each of its rows: the k-th row yielded
+    is node k.  A block holds about _BLOCK_FLOATS floats in its widest array
     and carries its last rows into the next.  The stencils:
 
     * sums: V_j(N) = V_j(N-1) + act(uhat(N), V_{j-1}(N));
@@ -120,6 +123,7 @@ def _graded(layers, rows: np.ndarray, panel: bool):
     start, weights, action, width = layers
     block = max(1, _BLOCK_FLOATS // max(width, 1))
     carry = [start] + [np.zeros_like(w) for w in weights[1:]]
+    yield [v[None] for v in carry]
     for n0 in range(0, len(rows), block):
         chunk = rows[n0:n0 + block]
         act = action(chunk)
@@ -135,10 +139,9 @@ def _graded(layers, rows: np.ndarray, panel: bool):
         yield vs
 
 
-def _exact_row_sums(terms: list[np.ndarray]) -> np.ndarray:
-    """The correctly rounded sum (math.fsum) of ``terms``, one entry per
-    row: the per-layer contributions of one time or sample each."""
-    return np.array([math.fsum(r) for r in np.column_stack(terms).tolist()], dtype=float)
+def _layer_sum(vs: list[np.ndarray], weights: list[np.ndarray]) -> np.ndarray:
+    """sum_j vs[j] @ weights[j], one entry per row, added in layer order."""
+    return functools.reduce(np.add, (v @ w for v, w in zip(vs, weights)))
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +155,8 @@ def _romberg(layers, u: ContinuousInput, times: Optional[float | np.ndarray], to
     Every level's grid is aligned to 0, to every breakpoint below the latest
     sample and to every sample time, with at least 8 panels, and runs the
     graded recursion once.  ``read`` is called once per level with the list
-    ``ends``, where ``ends[j]`` has one row of layer j per sample (a sample
-    at 0 has the row of [V_0, 0, ...]), and returns one value or one row per
+    ``ends``, where ``ends[j]`` has one row of layer j per sample, gathered
+    at the sample's node index, and returns one value or one row per
     sample.  The grid is halved until every entry of consecutive diagonals
     agrees to max(tol, 1e-14 |entry|) at every sample, else QuadratureFailure
     names the sample with the largest last change.  The rule is exact in u
@@ -169,9 +172,7 @@ def _romberg(layers, u: ContinuousInput, times: Optional[float | np.ndarray], to
     base_splits = 1
     while 0 < (len(edges) - 1) * base_splits < 8:
         base_splits *= 2
-    # each sample's edge, and the layer values at t = 0
     slot = np.searchsorted(edges, times)
-    origin = [layers[0]] + [np.zeros_like(w) for w in layers[1][1:]]
     prev_row: list[np.ndarray] = []
     for level in range(max_refinements + 1):
         splits = base_splits << level
@@ -181,10 +182,8 @@ def _romberg(layers, u: ContinuousInput, times: Optional[float | np.ndarray], to
         widths = np.diff(nodes)
         mids = nodes[:-1] + 0.5 * widths
         rows = np.column_stack([widths, *(u.value(i, mids) * widths for i in range(1, u.m + 1))])
-        # each sample's panel row: its node minus one, so -1 at t = 0, where
-        # the sample keeps the origin row
-        at = slot * splits - 1
-        ends = [np.tile(v, (len(times), 1)) for v in origin]
+        at = slot * splits
+        ends = [np.empty((len(times), w.size)) for w in layers[1]]
         n0 = 0
         for vs in _graded(layers, rows, panel=True):
             hit = np.flatnonzero((at >= n0) & (at < n0 + len(vs[0])))
@@ -210,13 +209,10 @@ def iterated_integral(
     u: ContinuousInput,
     t: Optional[float] = None,
     tol: float = 1e-10,
-    max_refinements: int = 12,
 ) -> float:
-    """E_eta[u](t) as the series with the one word eta (see _romberg)."""
+    """E_eta[u](t): fliess_truncated of the series with the one word eta."""
     c = SeriesSpec(Alphabet(u.m), polynomial=Polynomial.monomial(eta))
-    # eta is the only word of the top layer
-    return float(_romberg(_word_layers(c, c.polynomial.degree()), u, t, tol,
-                          lambda ends: ends[-1][:, 0], max_refinements)[0])
+    return fliess_truncated(c, u, len(eta), t, tol)
 
 
 def chen_truncation(
@@ -254,8 +250,7 @@ def fliess_truncated(
     if c.alphabet.m != u.m:
         raise DomainError(f"series has m={c.alphabet.m} but input has m={u.m}")
     layers = _word_layers(c, J, cap)
-    values = _romberg(layers, u, t, tol,
-                      lambda ends: _exact_row_sums([v @ w for v, w in zip(ends, layers[1])]))
+    values = _romberg(layers, u, t, tol, lambda ends: _layer_sum(ends, layers[1]))
     return values if np.ndim(t) else float(values[0])
 
 
@@ -285,16 +280,11 @@ def dt_fliess_trajectory(
     c: SeriesSpec, uhat: DiscreteInput, J: int, cap: int = DEFAULT_WORD_CAP
 ) -> np.ndarray:
     """Truncated discrete-time series functional at every step:
-    entry N is sum_{|eta| <= J} (c, eta) S_eta[uhat](N) for N = 0..L, from
-    the graded recursion with the sum stencil (see _word_layers, _graded);
-    each step's layer contributions are summed exactly (_exact_row_sums)."""
+    entry N is sum_{|eta| <= J} (c, eta) S_eta[uhat](N) for N = 0..L, the
+    layer sum (_layer_sum) of the graded recursion with the sum stencil at
+    every node (see _word_layers, _graded)."""
     if c.alphabet.m != uhat.m:
         raise DomainError(f"series has m={c.alphabet.m} but input has m={uhat.m}")
     layers = _word_layers(c, J, cap)
-    start, weights = layers[0], layers[1]
-    y0 = weights[0] @ start
-    out = [np.array([y0])]
-    for vs in _graded(layers, uhat.values, panel=False):
-        dots = [np.full(len(vs[0]), y0)] + [v @ w for v, w in zip(vs[1:], weights[1:])]
-        out.append(_exact_row_sums(dots))
-    return np.concatenate(out)
+    return np.concatenate([_layer_sum(vs, layers[1])
+                           for vs in _graded(layers, uhat.values, panel=False)])

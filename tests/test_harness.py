@@ -48,7 +48,7 @@ from fliess.signals import (
     discretize,
 )
 
-from oracles import emit_trajectory_per_row, iterated_integral_pc
+from oracles import emit_trajectory_per_row, iterated_integral_pc, iterated_sum_cumsum
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -407,10 +407,21 @@ def test_sparse_polynomial_config_trajectory_is_exact(monkeypatch):
     curve_times = _record_curve_times(monkeypatch)
     rows = emit_trajectory(cfg, resolution=7)[1:]
     (times,) = curve_times
+    uhat = discretize(cfg.input, cfg.L, rule=cfg.increments)
+    sums = {w: iterated_sum_cumsum(w, uhat) for w, _ in cfg.series.polynomial}
+
+    def exact_y_hat(N):
+        return format_float(math.fsum(c * sums[w][N] for w, c in cfg.series.polynomial))
+
     for t, row in zip(times, rows, strict=True):
         exact = math.fsum(c * iterated_integral_pc(w, cfg.input, t=float(t))
                           for w, c in cfg.series.polynomial)
         assert row[1] == format_float(exact)
+        if row[3]:
+            assert row[3] == exact_y_hat(int(row[2]))
+    assert sum(bool(row[3]) for row in rows) == cfg.L + 1
+    report = run_experiment(cfg).row()
+    assert report[REPORT_COLUMNS.index("y_hat")] == exact_y_hat(cfg.L)
 
 
 @pytest.mark.parametrize("name, route", [
@@ -613,6 +624,11 @@ POLY_SYSTEM = {"polynomial": {"m": 1, "terms": [{"word": [1], "coeff": 1.0}],
         ({"input": {"channels": ["constant"]}}, "input.channels.0 must be a dict"),
         ({"input": {"channels": {"kind": "constant", "level": 1}}},
          "input.channels must be a list"),
+        ({"L": True}, "L must be a finite number, got True"),
+        ({"J": False}, "J must be a finite number, got False"),
+        ({"T": True}, "T must be a finite number, got True"),
+        ({"input": {"channels": [{"kind": "constant", "level": True}]}},
+         "input.channels.0.level must be a finite number, got True"),
     ],
 )
 def test_cli_rejects_non_numbers_in_typed_fields_exit_2(tmp_path, doc_mutation, message, capsys):

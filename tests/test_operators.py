@@ -30,6 +30,7 @@ from fliess.operators import (
 from fliess.signals import (
     CatenatedChannel,
     ContinuousInput,
+    PiecewiseConstantChannel,
     QuadratureFailure,
     SampledChannel,
     SinusoidChannel,
@@ -96,8 +97,9 @@ def test_integral_domain_checks():
 
 def test_quadrature_failure_when_refinements_exhausted():
     u = ContinuousInput([SinusoidChannel(1.0, 500.0)], 1.0)
+    layers = operators._word_layers(SeriesSpec(Alphabet(1), polynomial=Polynomial({(1, 1): 1.0})), 2)
     with pytest.raises(QuadratureFailure):
-        iterated_integral((1, 1), u, tol=1e-14, max_refinements=1)
+        operators._romberg(layers, u, None, 1e-14, lambda ends: ends[-1][:, 0], max_refinements=1)
 
 
 def test_many_times_domain_error_names_the_time():
@@ -306,6 +308,49 @@ def test_dt_fliess_matches_word_sum(rng):
         for N in (0, uhat.L // 2, uhat.L):
             direct = sum(c.coefficient(w) * s[N] for w, s in sums.items())
             assert traj[N] == pytest.approx(direct, abs=1e-12)
+
+
+# heavy cancellation: on two channels a factor 1 + 1e-9 apart, the two 1e6
+# terms cancel to about 1e-3
+CANCELLING = {(1,): 1e6, (2,): -1e6, (1, 2): 1.0}
+
+
+def _assert_layer_sum_accuracy(value, parts):
+    """|value - fsum(parts)| within 8 (#words) eps sum |parts|: the accuracy
+    of a plain left-to-right sum of the layer contributions."""
+    bound = 8 * len(parts) * np.finfo(float).eps * math.fsum(map(abs, parts))
+    assert abs(value - math.fsum(parts)) <= bound
+
+
+def test_dt_fliess_plain_layer_sum_under_cancellation(rng):
+    c = SeriesSpec(Alphabet(2), polynomial=Polynomial(CANCELLING))
+    for _ in range(10):
+        breaks = np.unique(rng.uniform(0.0, 1.0, size=3)).tolist()
+        levels = rng.uniform(-1.0, 1.0, size=len(breaks) + 1)
+        u = ContinuousInput([PiecewiseConstantChannel(breaks, levels.tolist()),
+                             PiecewiseConstantChannel(breaks, (levels * (1 + 1e-9)).tolist())], 1.0)
+        uhat = discretize(u, 40)
+        traj = dt_fliess_trajectory(c, uhat, 2)
+        sums = {w: iterated_sum_cumsum(w, uhat) for w in CANCELLING}
+        for N in range(uhat.L + 1):
+            _assert_layer_sum_accuracy(traj[N], [cw * sums[w][N] for w, cw in CANCELLING.items()])
+
+
+def test_fliess_truncated_plain_layer_sum_under_cancellation(rng):
+    # dyadic breakpoints and 12-bit levels keep every panel-rule layer value
+    # exact, so the comparison measures the layer sum alone (on general data
+    # the rounding of E_1 and E_2 themselves, times 1e6, exceeds this bound)
+    c = SeriesSpec(Alphabet(2), polynomial=Polynomial(CANCELLING))
+    times = np.arange(9) / 8
+    for _ in range(10):
+        breaks = (np.unique(rng.integers(1, 8, size=3)) / 8).tolist()
+        levels = rng.integers(-2**12, 2**12 + 1, size=len(breaks) + 1) / 2**12
+        u = ContinuousInput([PiecewiseConstantChannel(breaks, levels.tolist()),
+                             PiecewiseConstantChannel(breaks, (levels * (1 + 2.0**-30)).tolist())],
+                            1.0)
+        for t, y in zip(times, fliess_truncated(c, u, 2, t=times)):
+            _assert_layer_sum_accuracy(
+                y, [cw * iterated_integral_pc(w, u, t=float(t)) for w, cw in CANCELLING.items()])
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])
