@@ -217,7 +217,8 @@ class LinearRepresentation:
     def letter_sum(self, weights) -> np.ndarray:
         """sum_i A_i w_i for each row w of letter weights (length m+1): one
         n-by-n matrix for a single row, a stack of them for a 2-d array."""
-        return np.tensordot(weights, self.matrices, axes=1)
+        q, n, _ = self.matrices.shape
+        return (weights @ self.matrices.reshape(q, -1)).reshape(*np.shape(weights)[:-1], n, n)
 
     def coefficient(self, w: Word) -> float:
         # row-vector propagation: lam . A_{w0} . A_{w1} ... A_{wk} . gamma

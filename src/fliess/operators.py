@@ -17,15 +17,13 @@ Conventions used throughout:
   and 0 for every other word).
 
 There is one evaluation mechanism per side: a graded recursion over word
-layers, vectorized over time (_word_layers, _graded).  Sums step with the
-layer below at the same step; integrals use the panel rule under one
-Romberg driver (_romberg) that extrapolates whole output arrays.  One
-Romberg sweep serves every sample time: its grids are aligned to the
-breakpoints and to all sample times, so a whole trajectory costs one run of
-the recursion per level.  Each level gathers every sample's layer values as
-one array per layer and reads them in one call, so no Python code runs per
-sample.  The recursion starts with node 0, so both sides read every node,
-t = 0 included, the same way: one plain numpy sum of the layer
+layers, vectorized over time (_word_layers, _graded), in time blocks whose
+layer arrays start with the carry row, so a layer of a block is a few numpy
+calls.  Sums step with the layer below at the same step; integrals use the
+panel rule under one Romberg driver (_romberg), whose grids are aligned to
+the breakpoints and to every sample time: one sweep serves a trajectory,
+gathering each sample's layer values by one index per layer and block.  Both
+sides read every node, t = 0 included, as one plain numpy sum of the layer
 contributions in layer order (_layer_sum), which errs by at most about
 J eps sum_j |w_j . V_j|.  Representations enumerate no words and polynomials
 only their support words, so ``cap`` bounds callback series only.
@@ -69,7 +67,8 @@ def _word_layers(c: SeriesSpec, J: int, cap: int = DEFAULT_WORD_CAP):
       of its suffix w[1:] in layer j-1 and its coefficient; the action is
       rows[:, first] * V[:, parent].  A callback has all q**j words over its
       evaluation letters, lexicographic (``cap`` bounds them); a polynomial
-      only its support words of length <= J and their suffixes.
+      only its support words of length <= J and their suffixes.  Weights
+      skip SeriesSpec.coefficient's word check: these words are all valid.
     * Representations: V_0 = gamma, every weight is lam and the action is
       (sum_i A_i w_i) V over the evaluation letters.
     """
@@ -90,6 +89,7 @@ def _word_layers(c: SeriesSpec, J: int, cap: int = DEFAULT_WORD_CAP):
     if c.polynomial is None:
         count_words_upto(len(letters), J, cap)
         layers = [list(itertools.product(letters, repeat=j)) for j in range(J + 1)]
+        weights = [np.fromiter(map(c.callback, layer), float, len(layer)) for layer in layers]
     else:
         kept = [w for w in c.polynomial.terms if len(w) <= J and set(w) <= set(letters)]
         found = [{()}] + [set() for _ in range(max(map(len, kept), default=0))]
@@ -97,7 +97,7 @@ def _word_layers(c: SeriesSpec, J: int, cap: int = DEFAULT_WORD_CAP):
             for k in range(len(w)):
                 found[len(w) - k].add(w[k:])
         layers = [sorted(layer) for layer in found]
-    weights = [np.array([c.coefficient(w) for w in layer], dtype=float) for layer in layers]
+        weights = [np.array([c.polynomial.terms.get(w, 0.0) for w in layer]) for layer in layers]
     # each word's position in its layer; links[j] = (first letters, parents)
     index = {w: k for layer in layers for k, w in enumerate(layer)}
     links = [None] + [np.array([[w[0] for w in layer], [index[w[1:]] for w in layer]], dtype=int)
@@ -110,31 +110,28 @@ def _word_layers(c: SeriesSpec, J: int, cap: int = DEFAULT_WORD_CAP):
 
 
 def _graded(layers, rows: np.ndarray, panel: bool):
-    """Yield the layer values [V_0, ..., V_J] at node 0 ([V_0, 0, ..., 0] as
-    one row), then per time block at each of its rows: the k-th row yielded
-    is node k.  A block holds about _BLOCK_FLOATS floats in its widest array
-    and carries its last rows into the next.  The stencils:
+    """Yield the layer values [V_0, ..., V_J] per time block of about
+    _BLOCK_FLOATS floats in its widest array.  Row 0 of a block is node n0,
+    the carry from the block before ([V_0, 0, ..., 0] at node 0), and row k
+    is node n0 + k.  With v = V_{j-1} of the block, layer j is one
+    cumulative sum over [V_j(n0); act(w, x)] by the stencil
 
-    * sums: V_j(N) = V_j(N-1) + act(uhat(N), V_{j-1}(N));
-    * panel rule, with rows w = (h, u_1(mid) h, ..., u_m(mid) h) for panels
-      [a, b] of width h: V_j(b) = V_j(a) + act(w, (V_{j-1}(a) + V_{j-1}(b))/2),
-      where a block's first V_{j-1}(a) is the carry of layer j-1.
-    """
+    * sums, w = uhat(N): V_j(N) = V_j(N-1) + act(w, V_{j-1}(N)), x = v[1:];
+    * panel rule, w = (h, u_1(mid) h, ..., u_m(mid) h) on a panel [a, b] of
+      width h: V_j(b) = V_j(a) + act(w, (V_{j-1}(a) + V_{j-1}(b))/2), with
+      x = 0.5 (v[:-1] + v[1:])."""
     start, weights, action, width = layers
     block = max(1, _BLOCK_FLOATS // max(width, 1))
-    carry = [start] + [np.zeros_like(w) for w in weights[1:]]
-    yield [v[None] for v in carry]
-    for n0 in range(0, len(rows), block):
+    carry = [start] + [np.zeros(w.size) for w in weights[1:]]
+    v0 = np.repeat(start[None], min(block, len(rows)) + 1, axis=0)
+    for n0 in range(0, max(len(rows), 1), block):
         chunk = rows[n0:n0 + block]
         act = action(chunk)
-        vs = [np.broadcast_to(start, (len(chunk), start.size))]
+        vs = [v0[:len(chunk) + 1]]
         for j in range(1, len(weights)):
-            below = vs[-1]
-            if panel:
-                below = 0.5 * (np.concatenate((carry[j - 1][None], below[:-1])) + below)
-            steps = act(j, below)
-            steps[0] += carry[j]
-            vs.append(np.cumsum(steps, axis=0))
+            v = vs[-1]
+            steps = act(j, 0.5 * (v[:-1] + v[1:]) if panel else v[1:])
+            vs.append(np.cumsum(np.concatenate((carry[j][None], steps)), axis=0))
         carry = [v[-1] for v in vs]
         yield vs
 
@@ -156,10 +153,10 @@ def _romberg(layers, u: ContinuousInput, times: Optional[float | np.ndarray], to
     sample and to every sample time, with at least 8 panels, and runs the
     graded recursion once.  ``read`` is called once per level with the list
     ``ends``, where ``ends[j]`` has one row of layer j per sample, gathered
-    at the sample's node index, and returns one value or one row per
-    sample.  The grid is halved until every entry of consecutive diagonals
-    agrees to max(tol, 1e-14 |entry|) at every sample, else QuadratureFailure
-    names the sample with the largest last change.  The rule is exact in u
+    by one index per layer in each block that holds samples, and returns one
+    value or one row per sample.  The grid is halved until every entry of
+    consecutive diagonals agrees to max(tol, 1e-14 |entry|) at every sample,
+    else QuadratureFailure names the sample with the largest last change.  The rule is exact in u
     for piecewise-constant channels on such grids and has an even-power
     error expansion for smooth ones.
     """
@@ -187,9 +184,11 @@ def _romberg(layers, u: ContinuousInput, times: Optional[float | np.ndarray], to
         n0 = 0
         for vs in _graded(layers, rows, panel=True):
             hit = np.flatnonzero((at >= n0) & (at < n0 + len(vs[0])))
-            for end, v in zip(ends, vs):
-                end[hit] = v[at[hit] - n0]
-            n0 += len(vs[0])
+            if hit.size:
+                k = at[hit] - n0
+                for end, v in zip(ends, vs):
+                    end[hit] = v[k]
+            n0 += len(vs[0]) - 1
         row = [np.asarray(read(ends), dtype=float)]
         for j, lower in enumerate(prev_row, start=1):
             row.append(row[j - 1] + (row[j - 1] - lower) / (4.0**j - 1.0))
@@ -282,9 +281,10 @@ def dt_fliess_trajectory(
     """Truncated discrete-time series functional at every step:
     entry N is sum_{|eta| <= J} (c, eta) S_eta[uhat](N) for N = 0..L, the
     layer sum (_layer_sum) of the graded recursion with the sum stencil at
-    every node (see _word_layers, _graded)."""
+    every node; a block after the first skips its carry row, the node before
+    it (see _word_layers, _graded)."""
     if c.alphabet.m != uhat.m:
         raise DomainError(f"series has m={c.alphabet.m} but input has m={uhat.m}")
     layers = _word_layers(c, J, cap)
-    return np.concatenate([_layer_sum(vs, layers[1])
-                           for vs in _graded(layers, uhat.values, panel=False)])
+    return np.concatenate([_layer_sum(vs, layers[1])[k > 0:]
+                           for k, vs in enumerate(_graded(layers, uhat.values, panel=False))])

@@ -303,7 +303,7 @@ class DiscreteInput:
             raise DomainError(
                 f"values must have shape ({self.L}, {self.m + 1}), got {values.shape}"
             )
-        if not np.allclose(values[:, 0], self.delta, rtol=0.0, atol=1e-15):
+        if not np.all(np.abs(values[:, 0] - self.delta) <= 1e-15):  # NaN fails too
             raise DomainError("drift increments uhat_0(N) must all equal Delta")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)

@@ -190,6 +190,17 @@ def test_coefficient_from_representation_is_matrix_product():
         assert s.coefficient(w) == pytest.approx(lam @ mat @ gamma)
 
 
+@pytest.mark.parametrize("shape", [(), (1,), (7,), (64,)])
+def test_letter_sum_equals_tensordot_bitwise(shape, rng):
+    for m, n in [(0, 1), (1, 4), (2, 3)]:
+        rep = LinearRepresentation([rng.standard_normal((n, n)) for _ in range(m + 1)],
+                                   np.ones(n), np.ones(n))
+        weights = rng.standard_normal(shape + (m + 1,))
+        B = rep.letter_sum(weights)
+        assert B.shape == shape + (n, n)
+        assert B.tobytes() == np.tensordot(weights, rep.matrices, axes=1).tobytes()
+
+
 def test_coefficient_checks_letters():
     s = SeriesSpec(Alphabet(1), polynomial=Polynomial.one())
     with pytest.raises(DomainError):

@@ -353,6 +353,68 @@ def test_fliess_truncated_plain_layer_sum_under_cancellation(rng):
                 y, [cw * iterated_integral_pc(w, u, t=float(t)) for w, cw in CANCELLING.items()])
 
 
+def _block_cases(rng):
+    """A polynomial, a callback and a representation over two letters."""
+    yield random_polynomial_series(rng, m=2, max_len=3, n_terms=5)
+    yield SeriesSpec(
+        Alphabet(2),
+        callback=lambda w: math.sin(1.0 + sum((k + 1) * (l + 1) for k, l in enumerate(w))),
+    )
+    mats = [rng.uniform(-1, 1, size=(3, 3)) for _ in range(3)]
+    yield SeriesSpec(Alphabet(2), representation=LinearRepresentation(
+        mats, rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)))
+
+
+def _abs_layer_sum(vs, layers):
+    """sum_j |vs[j]| . |w_j|, the scale of the rounding of a layer sum."""
+    return operators._layer_sum([np.abs(v) for v in vs], [np.abs(w) for w in layers[1]])
+
+
+def test_graded_results_do_not_depend_on_the_block_size(rng, monkeypatch):
+    """Blocks of one to four rows against one block for the whole grid: every
+    block boundary is a carry row, where an off-by-one would show.  At
+    Romberg level l the sample t = k/4 is node 2**(l+1) k, so it sits on a
+    block boundary for blocks of one and two rows, and of four from level 1."""
+    eps = np.finfo(float).eps
+    u = ContinuousInput([SinusoidChannel(0.8, 9.0), SinusoidChannel(-0.5, 4.0, 0.3)], 1.0)
+    uhat = discretize(u, 13)
+    times = np.arange(5) / 4
+    J = 3
+    for c in _block_cases(rng):
+        layers = operators._word_layers(c, J)
+        traj = dt_fliess_trajectory(c, uhat, J)
+        values = fliess_truncated(c, u, J, t=times)
+        traj_scale = np.concatenate([
+            _abs_layer_sum(vs, layers)[k > 0:]
+            for k, vs in enumerate(operators._graded(layers, uhat.values, panel=False))])
+        values_scale = operators._romberg(layers, u, times, 1e-10,
+                                          lambda ends: _abs_layer_sum(ends, layers))
+        assert traj.shape == (uhat.L + 1,)
+        for rows in (1, 2, 3, 4):
+            monkeypatch.setattr(operators, "_BLOCK_FLOATS", layers[3] * rows)
+            assert np.all(np.abs(dt_fliess_trajectory(c, uhat, J) - traj) <= 8 * eps * traj_scale)
+            small = fliess_truncated(c, u, J, t=times)
+            assert np.all(np.abs(small - values) <= 8 * eps * values_scale)
+            monkeypatch.undo()
+
+
+def test_word_layer_weights_are_the_series_coefficients():
+    """The layer weights skip SeriesSpec.coefficient; each must still equal
+    it, on suffix-only words (weight 0) and on a callback's words."""
+    poly = SeriesSpec(Alphabet(2), polynomial=Polynomial({(1, 2, 0): 0.5, (2, 1): -1.5, (): 2.0}))
+    layers = [[()], [(0,), (1,)], [(2, 0), (2, 1)], [(1, 2, 0)]]
+    _, weights, _, _ = operators._word_layers(poly, 3)
+    assert [w.tolist() for w in weights] == [[poly.coefficient(w) for w in layer]
+                                             for layer in layers]
+    assert weights[1].tolist() == [0.0, 0.0]
+    callback = SeriesSpec(Alphabet(2), callback=lambda w: float(len(w)) - 0.25 * sum(w),
+                          support_letters={0, 2})
+    _, weights, _, _ = operators._word_layers(callback, 3)
+    for j, layer_weights in enumerate(weights):
+        words = list(product((0, 2), repeat=j))
+        assert layer_weights.tolist() == [callback.coefficient(w) for w in words]
+
+
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_dt_fliess_representation_matches_word_route(m, rng):
     """The matrix action on a representation against the same series read

@@ -337,10 +337,12 @@ def test_discrete_input_invariants():
 def test_discrete_input_drift_column_checked():
     values = np.full((4, 2), 0.25)
     DiscreteInput(m=1, L=4, delta=0.25, values=values)
-    bad = values.copy()
-    bad[2, 0] = 0.3
-    with pytest.raises(DomainError):
-        DiscreteInput(m=1, L=4, delta=0.25, values=bad)
+    # NaN compares false, so it must not slip through a tolerance test
+    for drift in (0.3, np.nan, np.inf, -np.inf, 0.25 + 2e-15):
+        bad = values.copy()
+        bad[2, 0] = drift
+        with pytest.raises(DomainError, match="drift increments"):
+            DiscreteInput(m=1, L=4, delta=0.25, values=bad)
 
 
 # ---------------------------------------------------------------------------
