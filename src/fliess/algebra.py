@@ -29,12 +29,12 @@ Word = tuple[int, ...]
 
 EMPTY_WORD: Word = ()
 
-#: default limit on how many words a truncated enumeration may touch
-DEFAULT_WORD_CAP = 10**7
+#: the most words a truncated enumeration may touch
+WORD_CAP = 10**7
 
 
 class CapExceeded(Exception):
-    """A word enumeration would exceed the configured cap."""
+    """A word enumeration would exceed WORD_CAP."""
 
 
 class DomainError(ValueError):
@@ -92,18 +92,11 @@ class Polynomial:
         return cls({tuple(w): coeff})
 
     @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls()
-
-    @classmethod
     def one(cls) -> "Polynomial":
         return cls({EMPTY_WORD: 1.0})
 
     def coefficient(self, w: Word) -> float:
         return self.terms.get(tuple(w), 0.0)
-
-    def support(self) -> set[Word]:
-        return set(self.terms)
 
     def degree(self) -> int:
         """Length of the longest word in the support (-1 for the zero polynomial)."""
@@ -298,51 +291,46 @@ class SeriesSpec:
         return f"SeriesSpec({kind}, m={self.alphabet.m}{name})"
 
 
-def count_words_upto(q: int, max_len: int, cap: int = DEFAULT_WORD_CAP) -> int:
+def count_words_upto(q: int, max_len: int) -> int:
     """Number of words of length 0..max_len over q letters; raises
-    CapExceeded when it exceeds ``cap``."""
+    CapExceeded when it exceeds WORD_CAP."""
     total = (max_len + 1) if q == 1 else (q ** (max_len + 1) - 1) // (q - 1)
-    if total > cap:
+    if total > WORD_CAP:
         raise CapExceeded(
-            f"{total} words of length <= {max_len} over {q} letters exceeds the cap of {cap}"
+            f"{total} words of length <= {max_len} over {q} letters exceeds the cap of {WORD_CAP}"
         )
     return total
 
 
-def enumerate_words(
-    alphabet_or_letters, length: int, cap: int = DEFAULT_WORD_CAP
-) -> list[Word]:
+def _letters(alphabet_or_letters) -> list[int]:
+    """All letters of an Alphabet, or an explicit letter sequence, sorted."""
+    if isinstance(alphabet_or_letters, Alphabet):
+        return list(alphabet_or_letters.letters())
+    return sorted(alphabet_or_letters)
+
+
+def enumerate_words(alphabet_or_letters, length: int) -> list[Word]:
     """All words of the given length in lexicographic order of letter indices.
 
     Accepts either an Alphabet (all its letters) or an explicit letter
-    sequence.  Raises CapExceeded when the count would exceed ``cap``.
+    sequence.  Raises CapExceeded, before enumerating, when the count would
+    exceed WORD_CAP.  Every enumeration of a layer of words goes through here.
     """
-    if isinstance(alphabet_or_letters, Alphabet):
-        letters: Sequence[int] = list(alphabet_or_letters.letters())
-    else:
-        letters = sorted(alphabet_or_letters)
+    letters = _letters(alphabet_or_letters)
     count = len(letters) ** length
-    if count > cap:
+    if count > WORD_CAP:
         raise CapExceeded(
-            f"{len(letters)}^{length} = {count} words exceeds the cap of {cap}"
+            f"{len(letters)}^{length} = {count} words exceeds the cap of {WORD_CAP}"
         )
-    return [tuple(w) for w in itertools.product(letters, repeat=length)]
+    return list(itertools.product(letters, repeat=length))
 
 
-def enumerate_words_upto(
-    alphabet_or_letters, max_len: int, cap: int = DEFAULT_WORD_CAP
-) -> list[Word]:
+def enumerate_words_upto(alphabet_or_letters, max_len: int) -> list[Word]:
     """All words of length 0..max_len, shortest first, lexicographic within
-    a length."""
-    if isinstance(alphabet_or_letters, Alphabet):
-        letters: Sequence[int] = list(alphabet_or_letters.letters())
-    else:
-        letters = sorted(alphabet_or_letters)
-    count_words_upto(len(letters), max_len, cap)
-    out: list[Word] = []
-    for j in range(max_len + 1):
-        out.extend(tuple(w) for w in itertools.product(letters, repeat=j))
-    return out
+    a length: the layers of enumerate_words, concatenated."""
+    letters = _letters(alphabet_or_letters)
+    count_words_upto(len(letters), max_len)
+    return [w for j in range(max_len + 1) for w in enumerate_words(letters, j)]
 
 
 @dataclass(frozen=True)
@@ -352,13 +340,11 @@ class GrowthViolation:
     bound: float
 
 
-def check_growth(
-    s: SeriesSpec, g: GrowthClass, max_len: int, cap: int = DEFAULT_WORD_CAP
-) -> list[GrowthViolation]:
+def check_growth(s: SeriesSpec, g: GrowthClass, max_len: int) -> list[GrowthViolation]:
     """Every word of length <= max_len whose coefficient magnitude exceeds
     the growth-class bound; an empty list certifies the bound on that range."""
     violations = []
-    for w in enumerate_words_upto(s.alphabet, max_len, cap=cap):
+    for w in enumerate_words_upto(s.alphabet, max_len):
         magnitude = abs(s.coefficient(w))
         limit = g.bound(len(w))
         if magnitude > limit:

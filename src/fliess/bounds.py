@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .algebra import DomainError, Growth, GrowthClass, SeriesSpec
 from .signals import ContinuousInput, DiscreteInput, l1_norm
@@ -34,6 +35,9 @@ from .signals import ContinuousInput, DiscreteInput, l1_norm
 _MIN_STEPS_PER_ORDER = 5.0
 
 EXP_ARG_MAX = math.log(1.7976931348623157e308)  #: e^x overflows double precision above it
+
+#: a certificate series that has not stopped after this many terms raises
+_MAX_TERMS = 1_000_000
 
 
 class Divergent(ArithmeticError):
@@ -128,21 +132,51 @@ def lc_bounds(b: BoundInputs, formula: str = "statement") -> BoundReport:
     return BoundReport(e_hat, e_tail, shat, s, mode=f"lc/{formula}", regime_warnings=warnings)
 
 
+def _first_term(direct: Callable[[], float], log_term: Callable[[], float]) -> float:
+    """direct(), or e^log_term() when the direct form overflows (inf when
+    that is beyond the largest double too)."""
+    try:
+        return direct()
+    except OverflowError:
+        x = log_term()
+        return math.exp(x) if x <= EXP_ARG_MAX else math.inf
+
+
+def _series_sum(name: str, first: float, j: int, ratio: Callable[[int], float],
+                cut: float = 1e-17) -> float:
+    """math.fsum of the nonnegative terms t_j = first, t_k = t_{k-1} ratio(k)
+    for k > j: the one summation loop of the certificate series.  It stops
+    at the first term past the peak (no larger than the one before) that is
+    at most ``cut`` times the running sum.  The default drops only what lies
+    far below a tail's last bit; a finite sum (ratio 0 past its last term)
+    passes cut = 0 and keeps every term that is not 0.  Raises DomainError
+    naming ``name`` when the running sum exceeds the largest double, or when
+    _MAX_TERMS terms do not reach the stop."""
+    kept: list[float] = []
+    total, last, t = 0.0, math.inf, first
+    while not (t <= last and t <= cut * total):
+        if len(kept) == _MAX_TERMS:
+            raise DomainError(f"{name}: the series has not converged after {_MAX_TERMS} terms")
+        kept.append(t)
+        total += t
+        if total == math.inf:
+            raise DomainError(f"{name}: the sum exceeds the largest double after "
+                              f"{len(kept)} terms")
+        last = t
+        j += 1
+        t *= ratio(j)
+    return math.fsum(kept)
+
+
 def gamma_upper_regularized(order: int, x: float) -> float:
     """Regularized upper incomplete gamma Q(order, x) for integer order >= 1,
-    via the finite identity Q(order, x) = e^{-x} sum_{j=0}^{order-1} x^j/j!,
-    accumulated smallest term first."""
+    via the finite identity Q(order, x) = e^{-x} sum_{j=0}^{order-1} x^j/j!."""
     if order < 1:
         raise DomainError(f"integer order must be >= 1, got {order}")
     if x < 0:
         raise DomainError(f"need x >= 0, got {x}")
-    terms = []
-    t = 1.0
-    for j in range(order):
-        if j > 0:
-            t *= x / j
-        terms.append(t)
-    return math.exp(-x) * math.fsum(sorted(terms))
+    return math.exp(-x) * _series_sum("gamma_upper_regularized", 1.0, 0,
+                                      lambda j: x / j if j < order else 0.0, cut=0.0)
 
 
 def _exp_tail(x: float, J: int) -> float:
@@ -150,23 +184,9 @@ def _exp_tail(x: float, J: int) -> float:
     accuracy (the e^x - partial_sum form would cancel catastrophically)."""
     if x == 0.0:
         return 0.0
-    try:
-        t = x ** (J + 1) / math.factorial(J + 1)
-    except OverflowError:  # x^(J+1) or (J+1)! beyond the largest double
-        t = math.exp((J + 1) * math.log(x) - math.lgamma(J + 2))
-    if t == 0.0:  # x < J + 1 here, so the terms only fall from one that underflows
-        return 0.0
-    terms = []
-    j = J + 1
-    while True:
-        terms.append(t)
-        j += 1
-        t *= x / j
-        if t < 1e-17 * math.fsum(terms) and j > x:
-            break
-        if j > J + 10_000:  # pragma: no cover - x would have to be enormous
-            break
-    return math.fsum(reversed(terms))
+    first = _first_term(lambda: x ** (J + 1) / math.factorial(J + 1),
+                        lambda: (J + 1) * math.log(x) - math.lgamma(J + 2))
+    return _series_sum("e_tail", first, J + 1, lambda j: x / j)
 
 
 def gc_bounds(b: BoundInputs) -> BoundReport:
@@ -236,8 +256,9 @@ def dt_tail_bound(g: GrowthClass, m: int, R_hat: float, N: int, J: int) -> float
 
         sum_{j > J} K (M(m+1)R_hat)^j binomial(N-1+j, j),
 
-    summed numerically to convergence (smallest terms added first).  Requires
-    the ratio r = M(m+1)R_hat < 1; raises Divergent otherwise."""
+    summed numerically to convergence (_series_sum).  Requires the ratio
+    r = M(m+1)R_hat < 1; raises Divergent otherwise, and DomainError when
+    the sum is beyond the largest double."""
     if g.kind is not Growth.GC:
         raise DomainError("the discrete tail bound applies to GC growth only")
     if m < 0 or N < 0 or J < 0 or R_hat < 0:
@@ -249,14 +270,8 @@ def dt_tail_bound(g: GrowthClass, m: int, R_hat: float, N: int, J: int) -> float
         # no increments consumed yet: every nonempty word's sum is still 0
         return 0.0
     j = J + 1
-    term = g.K * r**j * math.comb(N - 1 + j, j)
-    terms = []
-    while True:
-        terms.append(term)
-        term *= r * (N - 1 + j + 1) / (j + 1)
-        j += 1
-        if term <= 1e-17 * math.fsum(terms):
-            break
-        if j > J + 1_000_000:  # pragma: no cover - r would have to be ~1
-            break
-    return math.fsum(reversed(terms))
+    first = _first_term(
+        lambda: g.K * r**j * math.comb(N - 1 + j, j),
+        lambda: (math.log(g.K) + j * math.log(r)
+                 + math.lgamma(N + j) - math.lgamma(j + 1) - math.lgamma(N)))
+    return _series_sum("dt_tail_bound", first, j, lambda k: r * (N + k - 1) / k)

@@ -18,7 +18,6 @@ six significant digits; identical configs produce bit-identical CSV.
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import json
 import math
@@ -155,10 +154,6 @@ class ExperimentConfig:
             raise DomainError("the series needs a declared growth class for bounds")
         if self.include_realization and self.series.representation is None:
             raise DomainError("realization output requires a linear representation")
-
-    @property
-    def T(self) -> float:
-        return self.input.T
 
 
 @dataclass(frozen=True)
@@ -390,10 +385,10 @@ def _continuous_output(cfg: ExperimentConfig,
     Romberg sweep.  The interpolation is not below CSV precision everywhere:
     on configs/geometric_resolvent.json at resolution 200, 7 of 249 cells
     differ from exp(t) in the sixth digit (relative error up to 1.25e-7).
-    ROADMAP item 1 replaces this route; it changes the benchmark's golden
+    ROADMAP item 2 replaces this route; it changes the benchmark's golden
     trajectories, so it waits for a benchmark change."""
     if cfg.analytic_output is not None:
-        return cfg.analytic_output(cfg.input.increment(1, 0.0, times)), "analytic", []
+        return cfg.analytic_output(cfg.input.channel(1).increment(0.0, times)), "analytic", []
     if cfg.series.representation is not None:
         # a trajectory's times include the L + 1 step nodes, so this is >= 4L
         steps = max(4 * (times.size - 1), 2000)
@@ -450,12 +445,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         warnings=tuple(warnings) + bounds_report.regime_warnings,
         realization_output=None if realization is None else float(realization[-1]),
     )
-
-
-def report_csv(reports: Sequence[ExperimentReport]) -> str:
-    buf = io.StringIO()
-    write_csv([REPORT_COLUMNS, *(r.row() for r in reports)], buf)
-    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -26,24 +26,23 @@ gathering each sample's layer values by one index per layer and block.  Both
 sides read every node, t = 0 included, as one plain numpy sum of the layer
 contributions in layer order (_layer_sum), which errs by at most about
 J eps sum_j |w_j . V_j|.  Representations enumerate no words and polynomials
-only their support words, so ``cap`` bounds callback series only.
+only their support words, so algebra.WORD_CAP bounds callback series only.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .algebra import (
-    DEFAULT_WORD_CAP,
     Alphabet,
     DomainError,
     Polynomial,
     SeriesSpec,
     count_words_upto,
+    enumerate_words,
     enumerate_words_upto,
 )
 from .signals import ContinuousInput, DiscreteInput, QuadratureFailure
@@ -57,7 +56,7 @@ from .signals import ContinuousInput, DiscreteInput, QuadratureFailure
 _BLOCK_FLOATS = 1 << 16
 
 
-def _word_layers(c: SeriesSpec, J: int, cap: int = DEFAULT_WORD_CAP):
+def _word_layers(c: SeriesSpec, J: int):
     """The series up to length J as ``(start, weights, action, width)``:
     V_0 = start, V_j grows row by row by ``action(rows)(j, V_{j-1})`` for a
     block of letter-weight rows, the value is sum_j weights[j] . V_j, and
@@ -66,8 +65,8 @@ def _word_layers(c: SeriesSpec, J: int, cap: int = DEFAULT_WORD_CAP):
     * Words: layer j is three arrays, each word's first letter, the index
       of its suffix w[1:] in layer j-1 and its coefficient; the action is
       rows[:, first] * V[:, parent].  A callback has all q**j words over its
-      evaluation letters, lexicographic (``cap`` bounds them); a polynomial
-      only its support words of length <= J and their suffixes.  Weights
+      evaluation letters from enumerate_words (WORD_CAP bounds them); a
+      polynomial only its support words of length <= J and their suffixes.  Weights
       skip SeriesSpec.coefficient's word check: these words are all valid.
     * Representations: V_0 = gamma, every weight is lam and the action is
       (sum_i A_i w_i) V over the evaluation letters.
@@ -87,8 +86,8 @@ def _word_layers(c: SeriesSpec, J: int, cap: int = DEFAULT_WORD_CAP):
         return rep.gamma, [rep.lam] * (J + 1), matrix_action, rep.dim**2
 
     if c.polynomial is None:
-        count_words_upto(len(letters), J, cap)
-        layers = [list(itertools.product(letters, repeat=j)) for j in range(J + 1)]
+        count_words_upto(len(letters), J)
+        layers = [enumerate_words(letters, j) for j in range(J + 1)]
         weights = [np.fromiter(map(c.callback, layer), float, len(layer)) for layer in layers]
     else:
         kept = [w for w in c.polynomial.terms if len(w) <= J and set(w) <= set(letters)]
@@ -219,7 +218,6 @@ def chen_truncation(
     J: int,
     t: Optional[float] = None,
     tol: float = 1e-10,
-    cap: int = DEFAULT_WORD_CAP,
 ) -> Polynomial:
     """All iterated integrals E_eta[u](t) with |eta| <= J, packaged as a
     polynomial (word -> value).  The empty word always carries 1.
@@ -229,8 +227,8 @@ def chen_truncation(
     chen_truncation(v).cat_product(chen_truncation(u)) up to order J —
     the later segment contributes the outer (prefix) letters.
     """
-    words = enumerate_words_upto(range(u.m + 1), J, cap=cap)
-    layers = _word_layers(SeriesSpec(Alphabet(u.m), callback=lambda w: 1.0), J, cap)
+    words = enumerate_words_upto(range(u.m + 1), J)
+    layers = _word_layers(SeriesSpec(Alphabet(u.m), callback=lambda w: 1.0), J)
     values = _romberg(layers, u, t, tol, lambda ends: np.concatenate(ends, axis=1))
     return Polynomial(dict(zip(words, values[0])))
 
@@ -241,14 +239,13 @@ def fliess_truncated(
     J: int,
     t: Optional[float | np.ndarray] = None,
     tol: float = 1e-10,
-    cap: int = DEFAULT_WORD_CAP,
 ) -> float | np.ndarray:
     """Truncated continuous-time series functional
     sum_{|eta| <= J} (c, eta) E_eta[u](t): a float at one time t (default
     T), or one value per time for a 1-d array t, from one Romberg sweep."""
     if c.alphabet.m != u.m:
         raise DomainError(f"series has m={c.alphabet.m} but input has m={u.m}")
-    layers = _word_layers(c, J, cap)
+    layers = _word_layers(c, J)
     values = _romberg(layers, u, t, tol, lambda ends: _layer_sum(ends, layers[1]))
     return values if np.ndim(t) else float(values[0])
 
@@ -266,18 +263,12 @@ def iterated_sum_trajectory(
     eta: Sequence[int], uhat: DiscreteInput, N: Optional[int] = None
 ) -> np.ndarray:
     """S_eta[uhat](k) for k = 0..N as one array: dt_fliess_trajectory of
-    the monomial eta, truncated at |eta|."""
+    the monomial eta, truncated at |eta|, on the first N steps of uhat."""
     c = SeriesSpec(Alphabet(uhat.m), polynomial=Polynomial.monomial(eta))
-    if N is None:
-        N = uhat.L
-    if not 0 <= N <= uhat.L:
-        raise DomainError(f"step count {N} outside 0..{uhat.L}")
-    return dt_fliess_trajectory(c, uhat, c.polynomial.degree())[:N + 1]
+    return dt_fliess_trajectory(c, uhat if N is None else uhat.prefix(N), c.polynomial.degree())
 
 
-def dt_fliess_trajectory(
-    c: SeriesSpec, uhat: DiscreteInput, J: int, cap: int = DEFAULT_WORD_CAP
-) -> np.ndarray:
+def dt_fliess_trajectory(c: SeriesSpec, uhat: DiscreteInput, J: int) -> np.ndarray:
     """Truncated discrete-time series functional at every step:
     entry N is sum_{|eta| <= J} (c, eta) S_eta[uhat](N) for N = 0..L, the
     layer sum (_layer_sum) of the graded recursion with the sum stencil at
@@ -285,6 +276,6 @@ def dt_fliess_trajectory(
     it (see _word_layers, _graded)."""
     if c.alphabet.m != uhat.m:
         raise DomainError(f"series has m={c.alphabet.m} but input has m={uhat.m}")
-    layers = _word_layers(c, J, cap)
+    layers = _word_layers(c, J)
     return np.concatenate([_layer_sum(vs, layers[1])[k > 0:]
                            for k, vs in enumerate(_graded(layers, uhat.values, panel=False))])

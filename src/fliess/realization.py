@@ -86,10 +86,6 @@ class StateAffineSystem:
     def dim(self) -> int:
         return self.rep.dim
 
-    @property
-    def m(self) -> int:
-        return self.rep.m
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -97,9 +93,6 @@ class Trajectory:
 
     states: np.ndarray
     outputs: np.ndarray
-
-    def __len__(self) -> int:
-        return self.outputs.size
 
 
 def _block_steps(dim: int) -> int:
@@ -182,13 +175,9 @@ def backward_step(sys: StateAffineSystem, z_next: np.ndarray, u_next: np.ndarray
 
 
 def _step_count(sys: StateAffineSystem, uhat: DiscreteInput, N_f: Optional[int]) -> int:
-    if uhat.m != sys.m:
-        raise DomainError(f"system has m={sys.m} but input has m={uhat.m}")
-    if N_f is None:
-        N_f = uhat.L
-    if not 0 <= N_f <= uhat.L:
-        raise DomainError(f"step count {N_f} outside 0..{uhat.L}")
-    return N_f
+    if uhat.m != sys.rep.m:
+        raise DomainError(f"system has m={sys.rep.m} but input has m={uhat.m}")
+    return uhat.L if N_f is None else uhat.prefix(N_f).L
 
 
 def _forward_block(M: np.ndarray, z: np.ndarray, first_step: int) -> np.ndarray:

@@ -26,7 +26,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import DomainError
+from .algebra import Alphabet, DomainError
 
 
 class QuadratureFailure(Exception):
@@ -255,15 +255,12 @@ class ContinuousInput:
     def channel(self, i: int) -> Channel:
         if i == 0:
             return _DRIFT
-        if not 1 <= i <= self.m:
-            raise DomainError(f"channel index {i} outside 0..{self.m}")
+        if not 1 <= i <= self.m:  # i is no letter 0..m, so check_letter raises
+            Alphabet(self.m).check_letter(i, "channel index")
         return self.channels[i - 1]
 
     def value(self, i: int, t):
         return self.channel(i).value(t)
-
-    def increment(self, i: int, a, b):
-        return self.channel(i).increment(a, b)
 
     def breakpoints(self) -> tuple[float, ...]:
         """Sorted interior non-smooth times across all controlled channels."""
@@ -308,14 +305,6 @@ class DiscreteInput:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
-    @property
-    def T(self) -> float:
-        return self.delta * self.L
-
-    def channel(self, i: int) -> np.ndarray:
-        """Increments of channel i as a length-L array (N = 1..L)."""
-        return self.values[:, i]
-
     def sup_norm(self, channels: Optional[Iterable[int]] = None) -> float:
         """max over steps and the selected channels (default: all of 0..m)
         of |uhat_i(N)|."""
@@ -328,6 +317,7 @@ class DiscreteInput:
         return float(np.max(np.abs(sel)))
 
     def prefix(self, N: int) -> "DiscreteInput":
+        """The first N steps; the one check of a step count against 0..L."""
         if not 0 <= N <= self.L:
             raise DomainError(f"step count {N} outside 0..{self.L}")
         return DiscreteInput(self.m, N, self.delta, self.values[:N])
@@ -351,7 +341,7 @@ def discretize(u: ContinuousInput, L: int, rule: str = "exact") -> DiscreteInput
     edges = np.linspace(0.0, u.T, L + 1)
     for i in range(1, u.m + 1):
         if rule == "exact":
-            values[:, i] = u.increment(i, edges[:-1], edges[1:])
+            values[:, i] = u.channel(i).increment(edges[:-1], edges[1:])
         else:
             nodes = u.value(i, edges)
             values[:, i] = 0.5 * delta * (nodes[:-1] + nodes[1:])

@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from fliess.algebra import (
-    DEFAULT_WORD_CAP,
+    WORD_CAP,
     Alphabet,
     CapExceeded,
     DomainError,
@@ -114,7 +114,7 @@ def iterated_sum_partition(
     eta: Sequence[int],
     uhat: DiscreteInput,
     N: Optional[int] = None,
-    cap: int = DEFAULT_WORD_CAP,
+    cap: int = WORD_CAP,
 ) -> float:
     """S_eta[uhat](N) by direct enumeration: one product per non-increasing
     assignment N >= k_1 >= ... >= k_p >= 1 of steps to the letters of eta
@@ -154,7 +154,7 @@ def iterated_sum_cumsum(
         raise DomainError(f"step count {N} outside 0..{uhat.L}")
     s = np.ones(N + 1)
     for letter in reversed(eta):
-        incr = uhat.channel(letter)[:N]
+        incr = uhat.values[:N, letter]
         s = np.concatenate(([0.0], np.cumsum(incr * s[1:])))
     return s
 

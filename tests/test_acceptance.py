@@ -171,7 +171,7 @@ def test_criterion_7_one_step_identity(rng):
 def _truncated_output(cfg):
     """y^J = sum_{j<=J} (c, x1^j) z^j / j!: the continuous output truncated
     at word length J, for a constant input with running integral z."""
-    z = cfg.input.increment(1, 0.0, cfg.T)
+    z = cfg.input.channel(1).increment(0.0, cfg.input.T)
     return math.fsum(
         cfg.series.coefficient((1,) * j) * z**j / math.factorial(j)
         for j in range(cfg.J + 1)
@@ -234,7 +234,7 @@ def test_criterion_8_bound_achievability():
                 failures.append(f"{which} case {case}: L/J warning is {warned}")
             if not warned and abs(rho) > 0.10:
                 failures.append(f"{which} case {case}: step error not within 10%")
-            sweeps.setdefault((which, cfg.T, cfg.J), cfg)
+            sweeps.setdefault((which, cfg.input.T, cfg.J), cfg)
 
     # (d) the excess over the first-order estimate is itself O(1/L)
     for (which, T, J), cfg in sweeps.items():

@@ -5,6 +5,7 @@ independent route for the incomplete-gamma identities.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from fliess.algebra import (
     Polynomial,
     SeriesSpec,
 )
+import fliess.bounds as bounds
 from fliess.bounds import (
     BoundInputs,
     Divergent,
@@ -217,6 +219,23 @@ def test_gc_tail_past_the_factorial_range(J, s):
     assert tail == pytest.approx(expected, rel=1e-9, abs=1e-300)
 
 
+def test_exp_tail_against_scipy():
+    # sum_{j>J} x^j/j! = e^x P(J+1, x).  Where the tail is below ~1e-290,
+    # scipy underflows and the direct sum is as small.  Elsewhere the two
+    # routes agree to 1e-12: scipy's own error reaches 2.3e-13 in the far
+    # tail (J well above x), and a first term that overflows its direct form
+    # comes from e^((J+1) log x - lgamma(J+2)), whose exponent (up to ~4600
+    # here) carries an absolute rounding of a few eps times its size.
+    for x in np.linspace(0.0, 700.0, 29):
+        for J in range(0, 401, 16):
+            tail = bounds._exp_tail(float(x), J)
+            expected = math.exp(x) * special.gammainc(J + 1, x)
+            if expected < 1e-290:
+                assert tail < 1e-280
+            else:
+                assert tail == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 def test_gc_simplified_dominates():
     assert gc_simplified(TABLE_CASE_GC) >= gc_bounds(TABLE_CASE_GC).e_hat
     # and coincides in the deep-truncation limit where Q -> 1
@@ -373,6 +392,40 @@ def test_dt_tail_bound_edge_cases():
         dt_tail_bound(GrowthClass(Growth.LC, 1, 1), 0, 0.04, 5, 3)
     with pytest.raises(DomainError):
         dt_tail_bound(g, 0, -0.1, 5, 3)
+
+
+GC_UNIT = GrowthClass(Growth.GC, 1.0, 1.0)
+
+
+def test_dt_tail_bound_binomial_beyond_the_largest_double():
+    # binomial(N-1+j, j) overflows a double at j = J + 1, but the tail is
+    # ~1e-261: the first term is e^(log form), whose lgamma values (~1e6
+    # here) round by ~1e-10, so the term is off by ~1e-10 relative
+    N, J = 100_000, 100
+    exact = float(sum(Fraction(math.comb(N - 1 + j, j), 10 ** (6 * j))
+                      for j in range(J + 1, J + 40)))
+    assert dt_tail_bound(GC_UNIT, 0, 1e-6, N, J) == pytest.approx(exact, rel=1e-9)
+
+
+def test_dt_tail_bound_sum_beyond_the_largest_double_raises():
+    # the terms stay finite, their sum does not (it was an OverflowError
+    # from math.fsum)
+    with pytest.raises(DomainError, match="dt_tail_bound: the sum exceeds the largest double"):
+        dt_tail_bound(GC_UNIT, 0, 0.3, 2000, 5)
+
+
+def test_dt_tail_bound_infinite_terms_raise():
+    # the terms themselves overflow (this returned inf); the running sum
+    # raises at the overflow, long before the term cap
+    with pytest.raises(DomainError, match="dt_tail_bound: the sum exceeds the largest double"):
+        dt_tail_bound(GC_UNIT, 0, 0.45, 5000, 5)
+
+
+def test_certificate_series_term_cap_raises(monkeypatch):
+    # r = 0.999 needs tens of thousands of terms to reach the stop rule
+    monkeypatch.setattr(bounds, "_MAX_TERMS", 1000)
+    with pytest.raises(DomainError, match="dt_tail_bound: the series has not converged"):
+        dt_tail_bound(GC_UNIT, 0, 0.999, 1, 0)
 
 
 def test_dt_tail_bound_monotone():

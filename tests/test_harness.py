@@ -1,6 +1,7 @@
 """Experiment configs, report assembly, regression-table comparison, CSV
 emission, and the command-line surface."""
 
+import csv
 import io
 import itertools
 import json
@@ -31,7 +32,6 @@ from fliess.harness import (
     lc_factorial,
     load_config,
     parse_config,
-    report_csv,
     reproduce_table,
     run_experiment,
     table_configs,
@@ -102,7 +102,7 @@ def test_run_experiment_report_invariants():
     uhat = discretize(cfg.input, cfg.L)
     assert r.norm_uhat == pytest.approx(uhat.sup_norm([1]))
     assert r.s_hat == pytest.approx(1.0 * 1 * cfg.L * r.norm_uhat)
-    assert r.s == pytest.approx(max(0.5, cfg.T))
+    assert r.s == pytest.approx(max(0.5, cfg.input.T))
     assert r.y == pytest.approx(2.0)
     assert r.diff == pytest.approx(r.y_hat - r.y)
     assert r.y_route == "analytic"
@@ -274,14 +274,18 @@ def test_reproduce_table_report_lines():
 # CSV output
 # ---------------------------------------------------------------------------
 
-def test_report_csv_deterministic():
-    cfg = parse_config(BASE_DOC)
-    r1, r2 = run_experiment(cfg), run_experiment(cfg)
-    text1, text2 = report_csv([r1]), report_csv([r2])
+def test_report_csv_deterministic(tmp_path, capsys):
+    path = write_doc(tmp_path, BASE_DOC)
+    texts = []
+    for _ in range(2):
+        assert cli.main(["run", path]) == 0
+        texts.append(capsys.readouterr().out)
+    text1, text2 = texts
     assert text1 == text2
-    header, row = text1.strip().split("\n")
-    assert header == ",".join(REPORT_COLUMNS)
-    assert row.split(",")[1] == "0.5"
+    header, row = csv.reader(io.StringIO(text1))
+    assert header == list(REPORT_COLUMNS)
+    assert row == run_experiment(parse_config(BASE_DOC)).row()
+    assert row[1] == "0.5"
 
 
 def test_emit_trajectory_shape_and_alignment():
@@ -445,7 +449,7 @@ def test_negative_statement_certificate_warns_on_stderr(tmp_path, capsys):
     assert any("e_hat = -1.98" in w and "exact_sum" in w for w in report.warnings)
     assert cli.main(["run", write_doc(tmp_path, doc)]) == 0
     out, err = capsys.readouterr()
-    assert out == report_csv([report])
+    assert list(csv.reader(io.StringIO(out))) == [list(REPORT_COLUMNS), report.row()]
     assert "warning: e_hat = -1.98" in err
     assert cli.main(["bounds", write_doc(tmp_path, doc)]) == 0
     assert "warning: e_hat = -1.98" in capsys.readouterr().err
@@ -677,6 +681,22 @@ def test_cli_gc_tail_past_the_factorial_range(tmp_path, command, capsys):
     header, row = capsys.readouterr().out.splitlines()
     e_tail = float(row.split(",")[header.split(",").index("e_tail")])
     assert math.isfinite(e_tail)
+
+
+def test_cli_factorial_decay_runs_as_gc(tmp_path, capsys):
+    # FACTORIAL_DECAY coefficients also satisfy the GC premise, so the run
+    # and bounds rows are those of the same series declared GC
+    doc = json.loads((CONFIGS / "sparse_polynomial.json").read_text())
+    rows = {}
+    for kind in ("FACTORIAL_DECAY", "GC"):
+        doc["system"]["polynomial"]["growth"]["kind"] = kind
+        path = write_doc(tmp_path, doc)
+        for command in ("run", "bounds"):
+            assert cli.main([command, path]) == 0
+            rows[kind, command] = capsys.readouterr().out.splitlines()[1]
+    assert rows["FACTORIAL_DECAY", "run"] == rows["GC", "run"]
+    assert rows["FACTORIAL_DECAY", "bounds"] == rows["GC", "bounds"]
+    assert rows["GC", "bounds"] == "0.75,0.75,0.0475818,0.00450785,gc"
 
 
 @pytest.mark.parametrize("command", ["run", "trajectory"])

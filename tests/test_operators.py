@@ -485,7 +485,7 @@ def test_dt_fliess_cap():
     c = SeriesSpec(Alphabet(2), callback=lambda w: 1.0)
     uhat = discretize(constant_input([1.0, 1.0], 1.0), 4)
     with pytest.raises(CapExceeded):
-        dt_fliess_trajectory(c, uhat, J=8, cap=1000)
+        dt_fliess_trajectory(c, uhat, J=15)
 
 
 # ---------------------------------------------------------------------------

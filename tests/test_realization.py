@@ -108,7 +108,7 @@ def test_implicit_discretize_step_matches_forward():
 def test_forward_geometric_product():
     uhat = discretize(constant_input(4.0, 0.5), 50)
     traj = simulate_forward(StateAffineSystem(geometric_rep()), uhat)
-    assert len(traj) == 51
+    assert traj.outputs.size == 51
     assert traj.outputs[0] == pytest.approx(1.0)
     for N in (1, 10, 50):
         assert traj.outputs[N] == pytest.approx((1 - 0.04) ** (-N), rel=1e-13)
@@ -140,7 +140,7 @@ def test_forward_backward_round_trip(rng):
 def test_simulate_forward_partial_horizon():
     uhat = discretize(constant_input(4.0, 0.5), 50)
     traj = simulate_forward(StateAffineSystem(geometric_rep()), uhat, N_f=10)
-    assert len(traj) == 11
+    assert traj.outputs.size == 11
     with pytest.raises(DomainError):
         simulate_forward(StateAffineSystem(geometric_rep()), uhat, N_f=51)
 

@@ -218,8 +218,8 @@ def test_continuous_input_basics():
     assert u.m == 1
     assert u.T == 0.5
     assert u.value(0, 0.3) == 1.0              # drift channel
-    assert u.increment(0, 0.1, 0.4) == pytest.approx(0.3)
-    assert u.increment(1, 0.0, u.T) == pytest.approx((1.0 - math.cos(10.0)) / 20.0)
+    assert u.channel(0).increment(0.1, 0.4) == pytest.approx(0.3)
+    assert u.channel(1).increment(0.0, u.T) == pytest.approx((1.0 - math.cos(10.0)) / 20.0)
     assert u.label == "sin(20t)"
 
 
@@ -247,7 +247,7 @@ def test_constant_input_builders():
     assert u.value(1, 0.2) == 4.0
     v = constant_input([1.0, -2.0], 1.0)
     assert v.m == 2
-    assert v.increment(2, 0.0, v.T) == pytest.approx(-2.0)
+    assert v.channel(2).increment(0.0, v.T) == pytest.approx(-2.0)
 
 
 def test_catenate_inputs():
@@ -257,7 +257,7 @@ def test_catenate_inputs():
     assert w.T == pytest.approx(1.25)
     assert w.value(1, 0.25) == 1.0
     assert w.value(1, 1.0) == -1.0
-    assert w.increment(1, 0.0, 1.25) == pytest.approx(0.5 - 0.75)
+    assert w.channel(1).increment(0.0, 1.25) == pytest.approx(0.5 - 0.75)
     with pytest.raises(DomainError):
         catenate(u, v, 0.75)  # tau beyond u's horizon
     with pytest.raises(DomainError):
@@ -273,12 +273,12 @@ def test_discretize_exact_columns(rng):
     uhat = discretize(u, 8)
     assert uhat.L == 8
     assert uhat.delta == pytest.approx(1.0 / 8)
-    assert np.allclose(uhat.channel(0), uhat.delta)
+    assert np.allclose(uhat.values[:, 0], uhat.delta)
     for i in (1, 2):
         for N in range(1, 9):
             a, b = (N - 1) / 8, N / 8
             assert uhat.values[N - 1, i] == pytest.approx(
-                u.increment(i, a, b), abs=1e-15
+                u.channel(i).increment(a, b), abs=1e-15
             )
 
 
@@ -315,7 +315,7 @@ def test_discretize_validation():
 def test_discrete_input_invariants():
     u = constant_input(2.0, 1.0)
     uhat = discretize(u, 4)
-    assert uhat.T == pytest.approx(1.0)
+    assert uhat.delta * uhat.L == pytest.approx(1.0)
     assert uhat.sup_norm() == pytest.approx(0.5)          # all channels, incl. drift
     assert uhat.sup_norm([1]) == pytest.approx(0.5)
     assert uhat.sup_norm() == uhat.sup_norm([0, 1])          # default: every channel
