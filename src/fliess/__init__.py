@@ -46,7 +46,6 @@ from .operators import (
 from .realization import (
     NonFinite,
     PolicyViolation,
-    SingularTransition,
     StateAffineSystem,
     Trajectory,
     backward_step,

@@ -26,7 +26,7 @@ from .harness import (
     run_experiment,
     write_csv,
 )
-from .realization import NonFinite, PolicyViolation, SingularTransition
+from .realization import NonFinite, PolicyViolation
 from .signals import QuadratureFailure
 
 _CONFIG_ERRORS = (
@@ -34,7 +34,6 @@ _CONFIG_ERRORS = (
     CapExceeded,
     Divergent,
     QuadratureFailure,
-    SingularTransition,
     PolicyViolation,
     NonFinite,
     OSError,

@@ -50,7 +50,6 @@ from .operators import dt_fliess_trajectory, fliess_truncated
 from .realization import (
     NonFinite,
     PolicyViolation,
-    SingularTransition,
     StateAffineSystem,
     ct_bilinear_simulate,
     simulate_forward,
@@ -416,7 +415,7 @@ def _columns(cfg: ExperimentConfig, uhat: DiscreteInput, times: np.ndarray):
         try:
             realization = simulate_forward(StateAffineSystem(cfg.series.representation),
                                            uhat).outputs
-        except (SingularTransition, PolicyViolation, NonFinite) as exc:
+        except (PolicyViolation, NonFinite) as exc:
             raise _annotate(exc, "realization column")
     return y, y_route, warnings, y_hat, realization
 

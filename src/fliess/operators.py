@@ -27,6 +27,7 @@ sides read every node, t = 0 included, as one plain numpy sum of the layer
 contributions in layer order (_layer_sum), which errs by at most about
 J eps sum_j |w_j . V_j|.  Representations enumerate no words and polynomials
 only their support words, so algebra.WORD_CAP bounds callback series only.
+Every Romberg sweep runs to one tolerance, _ROMBERG_TOL (see _romberg).
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .algebra import (
     SeriesSpec,
     count_words_upto,
     enumerate_words,
-    enumerate_words_upto,
 )
 from .signals import ContinuousInput, DiscreteInput, QuadratureFailure
 
@@ -55,12 +55,16 @@ from .signals import ContinuousInput, DiscreteInput, QuadratureFailure
 #: floats held by the widest array of one time block of the graded recursion
 _BLOCK_FLOATS = 1 << 16
 
+#: absolute tolerance of every Romberg sweep (see _romberg)
+_ROMBERG_TOL = 1e-10
+
 
 def _word_layers(c: SeriesSpec, J: int):
-    """The series up to length J as ``(start, weights, action, width)``:
+    """The series up to length J as ``(start, weights, action, width, words)``:
     V_0 = start, V_j grows row by row by ``action(rows)(j, V_{j-1})`` for a
-    block of letter-weight rows, the value is sum_j weights[j] . V_j, and
-    ``width`` (floats per row of the widest array) sizes the time blocks.
+    block of letter-weight rows, the value is sum_j weights[j] . V_j, ``width``
+    (floats per row of the widest array) sizes the time blocks, and words[j]
+    lists layer j's words in V_j's order (None for a representation).
 
     * Words: layer j is three arrays, each word's first letter, the index
       of its suffix w[1:] in layer j-1 and its coefficient; the action is
@@ -83,7 +87,7 @@ def _word_layers(c: SeriesSpec, J: int):
             B = rep.letter_sum(rows * mask)
             return lambda j, v: np.einsum("kab,kb->ka", B, v)
 
-        return rep.gamma, [rep.lam] * (J + 1), matrix_action, rep.dim**2
+        return rep.gamma, [rep.lam] * (J + 1), matrix_action, rep.dim**2, None
 
     if c.polynomial is None:
         count_words_upto(len(letters), J)
@@ -105,7 +109,7 @@ def _word_layers(c: SeriesSpec, J: int):
     def word_action(rows):
         return lambda j, v: rows[:, links[j][0]] * v[:, links[j][1]]
 
-    return np.ones(1), weights, word_action, max(w.size for w in weights)
+    return np.ones(1), weights, word_action, max(w.size for w in weights), layers
 
 
 def _graded(layers, rows: np.ndarray, panel: bool):
@@ -119,7 +123,7 @@ def _graded(layers, rows: np.ndarray, panel: bool):
     * panel rule, w = (h, u_1(mid) h, ..., u_m(mid) h) on a panel [a, b] of
       width h: V_j(b) = V_j(a) + act(w, (V_{j-1}(a) + V_{j-1}(b))/2), with
       x = 0.5 (v[:-1] + v[1:])."""
-    start, weights, action, width = layers
+    start, weights, action, width, _ = layers
     block = max(1, _BLOCK_FLOATS // max(width, 1))
     carry = [start] + [np.zeros(w.size) for w in weights[1:]]
     v0 = np.repeat(start[None], min(block, len(rows)) + 1, axis=0)
@@ -206,18 +210,16 @@ def iterated_integral(
     eta: Sequence[int],
     u: ContinuousInput,
     t: Optional[float] = None,
-    tol: float = 1e-10,
 ) -> float:
     """E_eta[u](t): fliess_truncated of the series with the one word eta."""
     c = SeriesSpec(Alphabet(u.m), polynomial=Polynomial.monomial(eta))
-    return fliess_truncated(c, u, len(eta), t, tol)
+    return fliess_truncated(c, u, len(eta), t)
 
 
 def chen_truncation(
     u: ContinuousInput,
     J: int,
     t: Optional[float] = None,
-    tol: float = 1e-10,
 ) -> Polynomial:
     """All iterated integrals E_eta[u](t) with |eta| <= J, packaged as a
     polynomial (word -> value).  The empty word always carries 1.
@@ -227,10 +229,9 @@ def chen_truncation(
     chen_truncation(v).cat_product(chen_truncation(u)) up to order J —
     the later segment contributes the outer (prefix) letters.
     """
-    words = enumerate_words_upto(range(u.m + 1), J)
     layers = _word_layers(SeriesSpec(Alphabet(u.m), callback=lambda w: 1.0), J)
-    values = _romberg(layers, u, t, tol, lambda ends: np.concatenate(ends, axis=1))
-    return Polynomial(dict(zip(words, values[0])))
+    values = _romberg(layers, u, t, _ROMBERG_TOL, lambda ends: np.concatenate(ends, axis=1))
+    return Polynomial(dict(zip((w for layer in layers[4] for w in layer), values[0])))
 
 
 def fliess_truncated(
@@ -238,7 +239,6 @@ def fliess_truncated(
     u: ContinuousInput,
     J: int,
     t: Optional[float | np.ndarray] = None,
-    tol: float = 1e-10,
 ) -> float | np.ndarray:
     """Truncated continuous-time series functional
     sum_{|eta| <= J} (c, eta) E_eta[u](t): a float at one time t (default
@@ -246,7 +246,7 @@ def fliess_truncated(
     if c.alphabet.m != u.m:
         raise DomainError(f"series has m={c.alphabet.m} but input has m={u.m}")
     layers = _word_layers(c, J)
-    values = _romberg(layers, u, t, tol, lambda ends: _layer_sum(ends, layers[1]))
+    values = _romberg(layers, u, t, _ROMBERG_TOL, lambda ends: _layer_sum(ends, layers[1]))
     return values if np.ndim(t) else float(values[0])
 
 

@@ -18,7 +18,8 @@ operational: the induced infinity norm of sum_j A_j uhat_j must stay below
 1 - 1e-9.  Below it the Neumann series of the resolvent converges, so
 (I - B)^{-1} exists and the recursion sums the series; a step that breaks
 the rule raises PolicyViolation instead of returning a number the series
-does not produce.
+does not produce.  Every solve runs after the rule, which makes I - B
+strictly row diagonally dominant, so no solve can meet a zero pivot.
 
 The continuous reference is classical RK4 on the bilinear system.  Its field
 is linear in z, so each step is a product z' = Phi_k z with a one-step
@@ -31,9 +32,8 @@ RK4 products, and forward the resolvents (I - B(N))^{-1} from one batched
 solve, after one ``strict_norm`` check for the whole stack.  The block's
 states then come from _chain, which multiplies the propagators pairwise in
 about log2(steps) batched levels instead of one matvec per step.  Forward,
-a block whose solve fails or whose states are not finite reruns one
-resolvent solve per step, so the error names the failing step
-(SingularTransition, or NonFinite for the first state that overflows).
+a block whose states are not finite reruns one resolvent solve per step,
+so NonFinite names the first state that overflows.
 """
 
 from __future__ import annotations
@@ -63,10 +63,6 @@ class _StepFailure(ArithmeticError):
         self.step = step
 
 
-class SingularTransition(_StepFailure):
-    """The one-step resolvent matrix is numerically singular."""
-
-
 class PolicyViolation(_StepFailure):
     """The ``strict_norm`` increment-size test failed before the solve."""
 
@@ -81,10 +77,6 @@ class StateAffineSystem:
     run only under the ``strict_norm`` rule, the realization's premise."""
 
     rep: LinearRepresentation
-
-    @property
-    def dim(self) -> int:
-        return self.rep.dim
 
 
 @dataclass(frozen=True)
@@ -139,12 +131,9 @@ def _check_norms(B: np.ndarray, first_step: Optional[int] = None) -> None:
 
 
 def _solve(matrix: np.ndarray, z: np.ndarray, step: Optional[int] = None) -> np.ndarray:
-    """Solve matrix @ z' = z.  A failed solve raises SingularTransition, and
-    a z' that is not finite (the state overflowed) raises NonFinite."""
-    try:
-        z_next = np.linalg.solve(matrix, z)
-    except np.linalg.LinAlgError as exc:
-        raise _step_error(SingularTransition, f"resolvent solve failed: {exc}", step) from exc
+    """Solve matrix @ z' = z; a z' that is not finite (the state
+    overflowed) raises NonFinite."""
+    z_next = np.linalg.solve(matrix, z)
     if not np.isfinite(z_next).all():
         raise _step_error(NonFinite, "state non-finite after the resolvent solve", step)
     return z_next
@@ -160,21 +149,21 @@ def forward_step(sys: StateAffineSystem, z: np.ndarray, u_next: np.ndarray) -> n
     the premise under which the step realizes the series (PolicyViolation
     otherwise).  A state that is not finite raises NonFinite.
     """
-    z = np.asarray(z, dtype=float).reshape(sys.dim)
+    z = np.asarray(z, dtype=float).reshape(sys.rep.dim)
     B = sys.rep.letter_sum(u_next)
     _check_norms(B)
-    return _solve(np.eye(sys.dim) - B, z)
+    return _solve(np.eye(sys.rep.dim) - B, z)
 
 
 def backward_step(sys: StateAffineSystem, z_next: np.ndarray, u_next: np.ndarray) -> np.ndarray:
     """Inverse of forward_step, needing no solve:
     z(N) = (I - sum_j A_j uhat_j(N+1)) z(N+1)."""
-    z_next = np.asarray(z_next, dtype=float).reshape(sys.dim)
+    z_next = np.asarray(z_next, dtype=float).reshape(sys.rep.dim)
     B = sys.rep.letter_sum(u_next)
     return z_next - B @ z_next
 
 
-def _step_count(sys: StateAffineSystem, uhat: DiscreteInput, N_f: Optional[int]) -> int:
+def _step_count(sys: StateAffineSystem, uhat: DiscreteInput, N_f: Optional[int] = None) -> int:
     if uhat.m != sys.rep.m:
         raise DomainError(f"system has m={sys.rep.m} but input has m={uhat.m}")
     return uhat.L if N_f is None else uhat.prefix(N_f).L
@@ -186,15 +175,12 @@ def _forward_block(M: np.ndarray, z: np.ndarray, first_step: int) -> np.ndarray:
     the caller has checked ``strict_norm`` on them.
 
     The resolvents come from one batched solve against I and the states
-    from _chain.  If that solve fails or a state is not finite, the block
-    reruns with one solve per step, which raises at the failing step."""
+    from _chain.  If a state is not finite, the block reruns with one solve
+    per step, which raises NonFinite at the first state that overflows."""
     # overflow is detected and handled below, not propagated as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            states = _chain(np.linalg.inv(M), z)
-        except np.linalg.LinAlgError:
-            states = None
-    if states is not None and np.isfinite(states).all():
+        states = _chain(np.linalg.inv(M), z)
+    if np.isfinite(states).all():
         return states
     states = np.empty((len(M), len(z)))
     for k in range(len(M)):
@@ -212,48 +198,46 @@ def simulate_forward(sys: StateAffineSystem, uhat: DiscreteInput, N_f: Optional[
     increment matrices B(N) of a block are built in one call and pass the
     test together, their resolvents (I - B(N))^{-1} come from one batched
     solve, and the states from pairwise products of those resolvents
-    (_chain).  A block whose solve fails or whose states are not finite
-    reruns one solve per step, so step failures propagate with the failing
-    step index attached: SingularTransition, or NonFinite for the first
-    state that overflows.
+    (_chain).  A block whose states are not finite reruns one solve per
+    step, so NonFinite names the first state that overflows.
     """
     N_f = _step_count(sys, uhat, N_f)
-    states = np.empty((N_f + 1, sys.dim))
+    states = np.empty((N_f + 1, sys.rep.dim))
     states[0] = sys.rep.gamma
-    block = _block_steps(sys.dim)
+    block = _block_steps(sys.rep.dim)
     for start in range(0, N_f, block):
         stop = min(start + block, N_f)
         B = sys.rep.letter_sum(uhat.values[start:stop])
         _check_norms(B, first_step=start + 1)
-        states[start + 1:stop + 1] = _forward_block(np.eye(sys.dim) - B, states[start], start + 1)
+        states[start + 1:stop + 1] = _forward_block(np.eye(sys.rep.dim) - B, states[start], start + 1)
     return Trajectory(states, states @ sys.rep.lam)
 
 
 def simulate_backward(
     sys: StateAffineSystem,
     uhat: DiscreteInput,
-    N_f: Optional[int] = None,
     terminal_state: Optional[np.ndarray] = None,
 ) -> Trajectory:
     """Run the backward recursion z(N) = (I - sum_j A_j uhat_j(N+1)) z(N+1)
-    down from step N_f.  Each time block's maps I - B(N) come from one call
-    and its states from their pairwise products (_chain), in reversed order.
+    down from step uhat.L (uhat.prefix(N) starts it at step N).  Each time
+    block's maps I - B(N) come from one call and its states from their
+    pairwise products (_chain), in reversed order.
 
     ``terminal_state`` defaults to gamma (the reversed-time initial data);
     passing a forward trajectory's final state instead reproduces that
     trajectory exactly, which is the time-reversal consistency this map
     exists to provide.
     """
-    N_f = _step_count(sys, uhat, N_f)
-    states = np.empty((N_f + 1, sys.dim))
+    N_f = _step_count(sys, uhat)
+    states = np.empty((N_f + 1, sys.rep.dim))
     states[N_f] = (
         sys.rep.gamma if terminal_state is None
-        else np.asarray(terminal_state, dtype=float).reshape(sys.dim)
+        else np.asarray(terminal_state, dtype=float).reshape(sys.rep.dim)
     )
-    block = _block_steps(sys.dim)
+    block = _block_steps(sys.rep.dim)
     for stop in range(N_f, 0, -block):
         start = max(stop - block, 0)
-        M = np.eye(sys.dim) - sys.rep.letter_sum(uhat.values[start:stop])
+        M = np.eye(sys.rep.dim) - sys.rep.letter_sum(uhat.values[start:stop])
         states[start:stop] = _chain(M[::-1], states[stop])[::-1]
     return Trajectory(states, states @ sys.rep.lam)
 

@@ -223,9 +223,9 @@ def test_exp_tail_against_scipy():
     # sum_{j>J} x^j/j! = e^x P(J+1, x).  Where the tail is below ~1e-290,
     # scipy underflows and the direct sum is as small.  Elsewhere the two
     # routes agree to 1e-12: scipy's own error reaches 2.3e-13 in the far
-    # tail (J well above x), and a first term that overflows its direct form
-    # comes from e^((J+1) log x - lgamma(J+2)), whose exponent (up to ~4600
-    # here) carries an absolute rounding of a few eps times its size.
+    # tail (J well above x), and the recurrence raises its sum by 4 k eps
+    # after k steps, up to 8.3e-13 at x = 700 (k ~ 930), so that it never
+    # falls below the exact tail.
     for x in np.linspace(0.0, 700.0, 29):
         for J in range(0, 401, 16):
             tail = bounds._exp_tail(float(x), J)
@@ -234,6 +234,31 @@ def test_exp_tail_against_scipy():
                 assert tail < 1e-280
             else:
                 assert tail == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def exact_tail_above(t: Fraction, start: int, ratio) -> Fraction:
+    """At least, and within 1e-30 relative of, sum_{k >= start} t_k for
+    t_k = t_{k-1} ratio(k) from t_0 = t, in exact arithmetic, for a ratio
+    falling in k: the partial sum to a term t_n past the peak, plus
+    t_n q / (1 - q) with q = ratio(n + 1) < 1, which bounds the rest."""
+    for k in range(1, start + 1):
+        t *= ratio(k)
+    total, k = Fraction(0), start
+    while True:
+        total += t
+        k += 1
+        q = ratio(k)
+        if q < 1 and t * q / (1 - q) <= total / 10**30:
+            return total + t * q / (1 - q)
+        t *= q
+
+
+@pytest.mark.parametrize("x, J", [(700, 400), (500, 170), (150, 400)])
+def test_exp_tail_is_at_least_the_exact_tail(x, J):
+    # the GC truncation tail is a certificate: never below sum_{j>J} x^j/j!
+    exact = exact_tail_above(Fraction(1), J + 1, lambda k: Fraction(x, k))
+    tail = Fraction(bounds._exp_tail(float(x), J))
+    assert exact <= tail <= exact * (1 + Fraction(1, 10**12))
 
 
 def test_gc_simplified_dominates():
@@ -399,12 +424,22 @@ GC_UNIT = GrowthClass(Growth.GC, 1.0, 1.0)
 
 def test_dt_tail_bound_binomial_beyond_the_largest_double():
     # binomial(N-1+j, j) overflows a double at j = J + 1, but the tail is
-    # ~1e-261: the first term is e^(log form), whose lgamma values (~1e6
-    # here) round by ~1e-10, so the term is off by ~1e-10 relative
+    # ~1e-261: the recurrence reaches that term from t_0 = 1 without forming
+    # the binomial, and its sum is off only by its upward 4 k eps margin
     N, J = 100_000, 100
     exact = float(sum(Fraction(math.comb(N - 1 + j, j), 10 ** (6 * j))
                       for j in range(J + 1, J + 40)))
     assert dt_tail_bound(GC_UNIT, 0, 1e-6, N, J) == pytest.approx(exact, rel=1e-9)
+
+
+# the last case's terms before J + 1 pass 1e600; its tail is ~3e-238
+@pytest.mark.parametrize("R_hat, N, J", [(3e-6, 200_000, 120), (2e-6, 150_000, 110),
+                                         (0.5, 2000, 8000)])
+def test_dt_tail_bound_is_at_least_the_exact_tail(R_hat, N, J):
+    r = Fraction(R_hat)
+    exact = exact_tail_above(Fraction(1), J + 1, lambda k: r * (N + k - 1) / k)
+    bound = Fraction(dt_tail_bound(GC_UNIT, 0, R_hat, N, J))
+    assert exact <= bound <= exact * (1 + Fraction(1, 10**11))
 
 
 def test_dt_tail_bound_sum_beyond_the_largest_double_raises():

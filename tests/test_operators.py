@@ -172,7 +172,7 @@ def test_pc_matches_quadrature_on_random_inputs(rng):
         u = random_pc_input(rng, m=2, T=1.0)
         for eta in [(1,), (2, 1), (1, 0, 2)]:
             assert iterated_integral_pc(eta, u) == pytest.approx(
-                iterated_integral(eta, u, tol=1e-12), abs=1e-11
+                iterated_integral(eta, u), abs=1e-11
             )
 
 
@@ -403,16 +403,17 @@ def test_word_layer_weights_are_the_series_coefficients():
     it, on suffix-only words (weight 0) and on a callback's words."""
     poly = SeriesSpec(Alphabet(2), polynomial=Polynomial({(1, 2, 0): 0.5, (2, 1): -1.5, (): 2.0}))
     layers = [[()], [(0,), (1,)], [(2, 0), (2, 1)], [(1, 2, 0)]]
-    _, weights, _, _ = operators._word_layers(poly, 3)
+    _, weights, _, _, words = operators._word_layers(poly, 3)
+    assert words == layers
     assert [w.tolist() for w in weights] == [[poly.coefficient(w) for w in layer]
                                              for layer in layers]
     assert weights[1].tolist() == [0.0, 0.0]
     callback = SeriesSpec(Alphabet(2), callback=lambda w: float(len(w)) - 0.25 * sum(w),
                           support_letters={0, 2})
-    _, weights, _, _ = operators._word_layers(callback, 3)
+    _, weights, _, _, words = operators._word_layers(callback, 3)
     for j, layer_weights in enumerate(weights):
-        words = list(product((0, 2), repeat=j))
-        assert layer_weights.tolist() == [callback.coefficient(w) for w in words]
+        assert words[j] == list(product((0, 2), repeat=j))
+        assert layer_weights.tolist() == [callback.coefficient(w) for w in words[j]]
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])

@@ -18,9 +18,7 @@ from fliess.realization import (
     NonFinite,
     _block_steps,
     _chain,
-    _forward_block,
     PolicyViolation,
-    SingularTransition,
     StateAffineSystem,
     backward_step,
     ct_bilinear_simulate,
@@ -174,23 +172,6 @@ def test_policy_violation_reports_step_in_later_block():
         simulate_forward(StateAffineSystem(geometric_rep()), uhat)
     assert exc.value.step == block + 100
     assert str(exc.value).startswith(f"step {block + 100}: ")
-
-
-def test_singular_step_reported_by_simulate_forward():
-    # I - B(N) = 0 exactly at one step of the second time block.  strict_norm
-    # rejects that step before any solve, so simulate_forward's block step
-    # runs on the stack directly: the batched solve fails, and the per-step
-    # rerun names the step
-    block = _block_steps(1)
-    N = block + 7
-    L = N + 5
-    values = np.column_stack([np.full(L, 1e-3), np.full(L, 1e-4)])
-    values[N - 1, 1] = 1.0
-    M = np.eye(1) - geometric_rep().letter_sum(values[block:])
-    with pytest.raises(SingularTransition) as exc:
-        _forward_block(M, np.ones(1), first_step=block + 1)
-    assert exc.value.step == N
-    assert str(exc.value).startswith(f"step {N}: ")
 
 
 def test_forward_reruns_when_products_overflow():
